@@ -27,13 +27,15 @@ from .runner import dataset_loss, run_experiment, run_sweep, _atomic_write
 from .transfer import TransferHyper, baseline_recipes, transfer_run
 
 
-def _load_run_context(ckpt_path: str):
-    """Model, config and dataset reconstructed from a checkpoint's metadata."""
+def _load_run(ckpt_path: str):
+    """Checkpoint, model and config reconstructed from a checkpoint's metadata."""
     ck = load_checkpoint(ckpt_path)
-    model = rebuild_model(ck)
-    cfg = ExperimentConfig.from_dict(ck.meta["config"])
-    data = build_dataset(cfg.dataset, Rng(cfg.seed).stream(STREAM_DATA))
-    return ck, model, cfg, data
+    return ck, rebuild_model(ck), ExperimentConfig.from_dict(ck.meta["config"])
+
+
+def _run_dataset(cfg: ExperimentConfig):
+    """The dataset the run trained on."""
+    return build_dataset(cfg.dataset, Rng(cfg.seed).stream(STREAM_DATA))
 
 
 def _cmd_train(args) -> int:
@@ -86,7 +88,8 @@ def _cmd_analyze_masks(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    ck, model, cfg, data = _load_run_context(args.checkpoint)
+    ck, model, cfg = _load_run(args.checkpoint)
+    data = _run_dataset(cfg)
     rng = Rng(cfg.seed).stream(STREAM_SHARPNESS)
     idx = rng.permutation(len(data.x_train))[: args.batch_size]
     x, y = data.x_train[idx], data.y_train[idx]
@@ -106,12 +109,15 @@ def _cmd_sharpness(args) -> int:
 def _cmd_interpolate(args) -> int:
     if len(args.checkpoints) < 2:
         raise ConfigError("interpolate needs at least two checkpoints")
-    loaded = [_load_run_context(p) for p in args.checkpoints]
-    model, cfg, data = loaded[0][1], loaded[0][2], loaded[0][3]
-    for _, m, _, _ in loaded[1:]:
+    loaded = [_load_run(p) for p in args.checkpoints]
+    _, model, cfg = loaded[0]
+    for _, m, c in loaded[1:]:
         if m.spec != model.spec:
             raise ConfigError("checkpoints come from different architectures")
-    params = [{n: e.weights.copy() for n, e in m.store.items()} for _, m, _, _ in loaded]
+        if c.dataset != cfg.dataset or c.seed != cfg.seed:
+            raise ConfigError("checkpoints come from runs with different datasets or seeds")
+    data = _run_dataset(cfg)
+    params = [{n: e.weights.copy() for n, e in m.store.items()} for _, m, _ in loaded]
     loss_fns = {
         "train": lambda p: dataset_loss(model, data.x_train, data.y_train, params=p),
         "val": lambda p: dataset_loss(model, data.x_val, data.y_val, params=p),
@@ -141,12 +147,17 @@ def _transfer_dataset(model: Model, seed: int, n_train: int, n_val: int) -> Data
 
 
 def _cmd_transfer(args) -> int:
+    ck = load_checkpoint(args.checkpoint)
+    model = rebuild_model(ck)
+    # rejects a dropout rate for an architecture without dropout layers
+    specs = {dr: replace(model.spec, dropout=dr) for dr in args.dropout}
     os.makedirs(args.out, exist_ok=True)
     results = []
     combos = [(lr, dr) for lr in args.lr for dr in args.dropout]
     for i, (lr, dr) in enumerate(combos):
-        ck, model, cfg, _ = _load_run_context(args.checkpoint)
-        model.spec = replace(model.spec, dropout=dr)
+        if i:
+            model = rebuild_model(ck)
+        model.spec = specs[dr]
         ds_spec = _transfer_dataset(model, args.task_seed, args.n_train, args.n_val)
         data = build_dataset(ds_spec, Rng(args.task_seed).stream(STREAM_DATA))
         hyper = TransferHyper(
@@ -185,7 +196,7 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_flops(args) -> int:
     if args.checkpoint:
-        _, model, _, _ = _load_run_context(args.checkpoint)
+        _, model, _ = _load_run(args.checkpoint)
     else:
         cfg = ExperimentConfig.from_file(args.config)
         model = build_model(cfg.model, Rng(cfg.seed).stream(STREAM_INIT))

@@ -48,6 +48,10 @@ class ModelSpec:
     blocks: int = 2
     dropout: float = 0.0
 
+    def __post_init__(self):
+        if self.dropout > 0.0 and self.arch != TINY_TRANSFORMER:
+            raise ConfigError(f"{self.arch} has no dropout layers, so dropout must be 0")
+
     def to_dict(self) -> dict:
         return {
             "arch": self.arch,

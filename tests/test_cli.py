@@ -142,3 +142,29 @@ def test_missing_config_exit_2(tmp_path):
 def test_analyze_masks_needs_two_checkpoints(tmp_path):
     os.makedirs(tmp_path / "empty", exist_ok=True)
     assert main(["analyze-masks", str(tmp_path / "empty"), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_interpolate_rejects_checkpoints_of_different_runs(tmp_path):
+    cfg = write_cfg(tmp_path, "cfg.json", acdc_tree())
+    main(["train", "--config", cfg, "--out", str(tmp_path / "a")])
+    main(["train", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "4"])
+    ckpts = [str(tmp_path / run / "ckpt_00012.splb") for run in ("a", "b")]
+    dest = str(tmp_path / "interp")
+    assert main(["interpolate", "--checkpoints", *ckpts, "--out", dest]) == 2
+    assert not os.path.exists(dest)
+
+
+def test_dropout_rejected_for_architectures_without_dropout(tmp_path, capsys):
+    tree = json.load(open(os.path.join(FIXTURES, "dense_smoke.json")))
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", write_cfg(tmp_path, "cfg.json", tree), "--out", out]) == 0
+    ckpt = os.path.join(out, "ckpt_00002.splb")
+    dest = str(tmp_path / "transfer")
+    rc = main(["transfer", "--checkpoint", ckpt, "--out", dest, "--dropout", "0.5",
+               "--n-train", "64", "--n-val", "32"])
+    assert rc == 2
+    assert "no dropout layers" in capsys.readouterr().err
+    assert not os.path.exists(dest)
+    tree["model"]["dropout"] = 0.1
+    bad = write_cfg(tmp_path, "bad.json", tree)
+    assert main(["train", "--config", bad, "--out", str(tmp_path / "x")]) == 2

@@ -1,5 +1,13 @@
-import numpy as np
+import contextlib
+import json
+import os
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sparselab import rng as rng_module
 from sparselab.rng import Rng, STREAM_INIT, STREAM_DATA
 
 
@@ -44,3 +52,127 @@ def test_permutation_is_a_permutation():
     p = Rng(9).permutation(100)
     assert sorted(p.tolist()) == list(range(100))
     assert np.array_equal(p, Rng(9).permutation(100))
+
+
+# -- independent reference: the published C code (fixtures/xoshiro_ref.c) ------
+
+with open(os.path.join(os.path.dirname(__file__), "fixtures", "rng_reference.json")) as _f:
+    REFERENCE = json.load(_f)
+
+
+@contextlib.contextmanager
+def bulk_min(value):
+    """Sets the size from which requests take the bulk path."""
+    saved = rng_module._BULK_MIN
+    rng_module._BULK_MIN = value
+    try:
+        yield
+    finally:
+        rng_module._BULK_MIN = saved
+
+
+def scalar(draw):
+    """`draw()` with every request on the scalar path: the oracle."""
+    with bulk_min(float("inf")):
+        return draw()
+
+
+@pytest.mark.parametrize("case", REFERENCE["seeds"], ids=lambda c: f"seed{c['seed']}")
+def test_scalar_path_matches_reference(case):
+    r = Rng(case["seed"])
+    assert r._s == case["state"]
+    assert [r.next_u64() for _ in range(REFERENCE["first"])] == case["first_outputs"]
+    for _ in range(REFERENCE["around"] - REFERENCE["first"]):
+        r.next_u64()
+    assert [r.next_u64() for _ in case["around_outputs"]] == case["around_outputs"]
+
+
+@pytest.mark.parametrize("case", REFERENCE["seeds"], ids=lambda c: f"seed{c['seed']}")
+def test_bulk_path_matches_reference(case):
+    first, around = REFERENCE["first"], REFERENCE["around"]
+    r = Rng(case["seed"])
+    raw = np.empty(around, dtype=np.uint64)
+    done = r._bulk(raw)
+    assert done > around - 1024
+    raw[done:] = [r.next_u64() for _ in range(done, around)]
+    assert raw[:first].tolist() == case["first_outputs"]
+    # the bulk path left the state where `around` scalar steps would
+    assert [r.next_u64() for _ in case["around_outputs"]] == case["around_outputs"]
+
+    n = around + len(case["around_outputs"])
+    u = Rng(case["seed"]).uniforms(n)
+    want = case["first_outputs"] + [None] * (around - first) + case["around_outputs"]
+    for i in [*range(first), *range(around, n)]:
+        assert u[i] == (want[i] >> 11) * 2.0**-53
+
+
+def test_substreams_match_reference():
+    for case in REFERENCE["streams"]:
+        r = Rng(case["seed"]).stream(case["offset"])
+        assert [r.next_u64() for _ in case["outputs"]] == case["outputs"]
+
+
+def test_jump_matrices_match_reference_jump():
+    """T^(2^128) from the bulk path's matrices against the published jump()."""
+    state = np.array([Rng(1)._s], dtype=np.uint64)
+    assert rng_module._jumped(state, 128)[0].tolist() == REFERENCE["jump_2_128_from_seed_1"]
+
+
+# -- the bulk path against the scalar path ---------------------------------------
+
+# K is the lane spacing that the bulk path picks: 16 below 256 draws, 32 from
+# 1024. Forced onto the bulk path, each group probes L*K - 1, L*K and L*K + 1;
+# routed, the lengths probe the threshold and a model-sized request.
+FORCED = [0, 1, 15, 16, 17, 63, 64, 65, 1023, 1024, 1025]
+THRESHOLD = rng_module._BULK_MIN
+ROUTED = [THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, 4097, 200_003]
+
+
+def _draws(r: Rng, n: int):
+    return r.uniforms(n), r.normals(n), r.permutation(n), r._s
+
+
+def _assert_same(a, b):
+    for x, y in zip(a[:3], b[:3]):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert a[3] == b[3]
+
+
+@pytest.mark.parametrize(
+    "n, threshold", [(n, 0) for n in FORCED] + [(n, THRESHOLD) for n in ROUTED]
+)
+def test_bulk_equals_scalar_at_edge_lengths(n, threshold):
+    with bulk_min(threshold):
+        got = _draws(Rng(2024), n)
+    _assert_same(got, scalar(lambda: _draws(Rng(2024), n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 3000), odd=st.booleans())
+def test_bulk_equals_scalar_across_seeds(seed, n, odd):
+    n = n | 1 if odd else n
+    with bulk_min(0):
+        got = _draws(Rng(seed), n)
+    _assert_same(got, scalar(lambda: _draws(Rng(seed), n)))
+
+
+CALLS = st.lists(
+    st.tuples(st.sampled_from(["uniforms", "normals", "permutation", "next_u64", "below"]),
+              st.integers(1, 2500)),
+    max_size=6,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), calls=CALLS)
+def test_interleaved_calls_leave_the_same_state(seed, calls):
+    def play():
+        r = Rng(seed)
+        outs = []
+        for method, n in calls:
+            out = r.next_u64() if method == "next_u64" else getattr(r, method)(n)
+            outs.append((np.asarray(out), list(r._s)))
+        return outs
+
+    for (x, sx), (y, sy) in zip(play(), scalar(play)):
+        assert np.array_equal(x, y) and sx == sy

@@ -151,6 +151,8 @@ def _cmd_transfer(args) -> int:
     model = rebuild_model(ck)
     # rejects a dropout rate for an architecture without dropout layers
     specs = {dr: replace(model.spec, dropout=dr) for dr in args.dropout}
+    ds_spec = _transfer_dataset(model, args.task_seed, args.n_train, args.n_val)
+    data = build_dataset(ds_spec, Rng(args.task_seed).stream(STREAM_DATA))
     os.makedirs(args.out, exist_ok=True)
     results = []
     combos = [(lr, dr) for lr in args.lr for dr in args.dropout]
@@ -158,8 +160,6 @@ def _cmd_transfer(args) -> int:
         if i:
             model = rebuild_model(ck)
         model.spec = specs[dr]
-        ds_spec = _transfer_dataset(model, args.task_seed, args.n_train, args.n_val)
-        data = build_dataset(ds_spec, Rng(args.task_seed).stream(STREAM_DATA))
         hyper = TransferHyper(
             lr=lr, batch_size=args.batch_size, epochs_per_stage=args.epochs_per_stage,
             early_stop=not args.no_early_stop,

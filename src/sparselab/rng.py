@@ -64,21 +64,23 @@ _CHUNK = 1 << 13  # lane outputs buffered between conversions (64 KB of uint64)
 _JUMPS: list[np.ndarray] = []
 
 
-def _bits(states: np.ndarray) -> np.ndarray:
-    """(c, 4) uint64 states -> (c, 256) 0/1 bytes; bit j of word w at 64w + j."""
-    return np.unpackbits(states.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-
-
 def _jumped(states: np.ndarray, m: int) -> np.ndarray:
-    """The states 2^m steps after `states`, (c, 4) uint64: their bit vectors
-    times T^(2^m) over GF(2). A float32 product sums at most 256 ones, so it
-    is exact in any summation order; 64 rows at a time bound the temporaries."""
-    jump = _bits(_jump(m)).astype(np.float32)
+    """The states 2^m steps after `states`, (c, 4) uint64: each state's bit
+    vector times T^(2^m) over GF(2), that is, the XOR of the rows of T^(2^m)
+    at its set bits, looked up four bits at a time. Integer ops only: no
+    BLAS call, whose threads stall when other processes hold the cores."""
+    rows = _jump(m).reshape(64, 4, 4)  # [q, i]: row 4q + i
+    table = np.zeros((64, 16, 4), dtype=np.uint64)  # [q, v]: XOR of rows 4q + i, i in v
+    for i in range(4):
+        table[:, 1 << i : 2 << i] = table[:, : 1 << i] ^ rows[:, i, None, :]
+    q = np.arange(64)
     out = np.empty_like(states)
-    for i in range(0, len(states), 64):
-        counts = _bits(states[i : i + 64]).astype(np.float32) @ jump
-        parity = (counts.astype(np.int32) & 1).astype(bool)  # packbits is fast on bool
-        out[i : i + 64] = np.packbits(parity, axis=1, bitorder="little").view("<u8")
+    for a in range(0, len(states), 64):  # bounds the (64, 64, 4) gather
+        octets = states[a : a + 64].astype("<u8").view(np.uint8)  # byte k: bits 8k..8k+7
+        nibbles = np.empty((len(octets), 64), dtype=np.uint8)  # nibble q: bits 4q..4q+3
+        nibbles[:, 0::2] = octets & 15
+        nibbles[:, 1::2] = octets >> 4
+        out[a : a + 64] = np.bitwise_xor.reduce(table[q, nibbles], axis=1)
     return out
 
 

@@ -120,9 +120,10 @@ def test_jump_matrices_match_reference_jump():
 
 # -- the bulk path against the scalar path ---------------------------------------
 
-# K is the lane spacing that the bulk path picks: 16 below 256 draws, 32 from
-# 1024. Forced onto the bulk path, each group probes L*K - 1, L*K and L*K + 1;
-# routed, the lengths probe the threshold and a model-sized request.
+# K is the lane spacing that the bulk path picks: 16 below 1024 draws, 32 from
+# 1024 to 4095. Forced onto the bulk path, the lengths probe L = 0 and 1 lanes
+# and the step from K = 16 to 32; routed, the threshold and a model-sized
+# request.
 FORCED = [0, 1, 15, 16, 17, 63, 64, 65, 1023, 1024, 1025]
 THRESHOLD = rng_module._BULK_MIN
 ROUTED = [THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, 4097, 200_003]

@@ -49,6 +49,8 @@ class ModelSpec:
     dropout: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.dropout > 0.0 and self.arch != TINY_TRANSFORMER:
             raise ConfigError(f"{self.arch} has no dropout layers, so dropout must be 0")
 

@@ -168,3 +168,19 @@ def test_dropout_rejected_for_architectures_without_dropout(tmp_path, capsys):
     tree["model"]["dropout"] = 0.1
     bad = write_cfg(tmp_path, "bad.json", tree)
     assert main(["train", "--config", bad, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("rate", ["-0.5", "1.0", "1.5"])
+def test_transfer_rejects_dropout_outside_unit_interval(tmp_path, rate):
+    tree = {
+        "seed": 5, "method": "dense", "total_epochs": 1, "batch_size": 32,
+        "model": {"arch": "tiny-transformer", "vocab": 4, "max_len": 4, "d_model": 8,
+                  "ff_dim": 8, "blocks": 1, "classes": 2},
+        "dataset": {"kind": "synthetic-sequences", "n_train": 32, "n_val": 16,
+                    "vocab": 4, "seq_len": 4},
+    }
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", write_cfg(tmp_path, "cfg.json", tree), "--out", out]) == 0
+    rc = main(["transfer", "--checkpoint", os.path.join(out, "ckpt_00001.splb"),
+               "--out", str(tmp_path / "t"), "--dropout", rate])
+    assert rc == 2

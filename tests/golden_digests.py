@@ -7,7 +7,8 @@ calls writes, and of what each call prints.
 `test_golden_digests.py` runs the same calls and compares their digests with
 `fixtures/golden_digests.json`. The calls cover every path that draws random
 numbers or sums in f32: dataset builds, model inits, shuffles and dropout,
-the three schedulers, mask analysis, sharpness, interpolation and transfer.
+the four sparsifying methods, mask analysis, sharpness, interpolation, every
+transfer recipe and a sweep.
 Rewrite the fixture only in a change that means to move outputs (one that
 changes an f32 summation order, say) and say so in that change.
 """
@@ -57,6 +58,26 @@ TRANSFORMER = {
     "dataset": {"kind": "synthetic-sequences", "n_train": 128, "n_val": 64,
                 "vocab": 4, "seq_len": 8},
 }
+ONESHOT_MLP = {
+    "seed": 8, "method": "oneshot", "total_epochs": 3, "batch_size": 32, "checkpoint_every": 3,
+    "label_smoothing": 0.1, "eval_train_split": True,
+    "optimizer": {"lr": 0.1, "momentum": 0.9, "weight_decay": 1e-4, "warmup_epochs": 1,
+                  "schedule": "cosine"},
+    "sparsity": {"target": 0.7, "distribution": "uniform", "keep_dense": []},
+    "model": {"arch": "mlp", "layer_dims": [32, 24, 10]},
+    "dataset": {"kind": "synthetic-blobs", "n_train": 200, "n_val": 64, "classes": 10, "dim": 32},
+}
+SWEEP = {
+    "base": {
+        "seed": 9, "method": "gmp", "total_epochs": 2, "batch_size": 32, "checkpoint_every": 2,
+        "sparsity": {"target": 0.5},
+        "gmp": {"ramp_start": 0, "ramp_end": 1, "update_every": 1},
+        "model": {"arch": "mlp", "layer_dims": [16, 12, 4]},
+        "dataset": {"kind": "synthetic-blobs", "n_train": 96, "n_val": 32, "classes": 4,
+                    "dim": 16},
+    },
+    "grid": {"optimizer.lr": [0.05, 0.2]},
+}
 
 
 def environment() -> dict:
@@ -72,15 +93,20 @@ def calls(work: str) -> list[tuple[str, list[str]]]:
     cfg = os.path.join(work, "configs")
     out = os.path.join(work, "runs")
     os.makedirs(cfg, exist_ok=True)
-    trees = {"rigl": RIGL_MLP, "cnn": CNN_ACDC, "transformer": TRANSFORMER}
+    trees = {"rigl": RIGL_MLP, "cnn": CNN_ACDC, "transformer": TRANSFORMER,
+             "oneshot": ONESHOT_MLP}
     paths = {"acdc": os.path.join(FIXTURES, "acdc_blobs.json"),
              "dense": os.path.join(FIXTURES, "dense_smoke.json")}
     for name, tree in trees.items():
         paths[name] = os.path.join(cfg, f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as f:
             json.dump(tree, f)
+    grid = os.path.join(cfg, "grid.json")
+    with open(grid, "w", encoding="utf-8") as f:
+        json.dump(SWEEP, f)
     acdc = [os.path.join(out, "acdc", f"ckpt_{e:05d}.splb") for e in (4, 8, 12)]
     tf_final = os.path.join(out, "transformer", "ckpt_00004.splb")
+    small_task = ["--n-train", "96", "--n-val", "64", "--batch-size", "16"]
     return [
         *[(name, ["train", "--config", path, "--out", os.path.join(out, name)])
           for name, path in paths.items()],
@@ -93,8 +119,17 @@ def calls(work: str) -> list[tuple[str, list[str]]]:
         ("interpolate", ["interpolate", "--checkpoints", *acdc, "--segments", "3",
                          "--out", os.path.join(out, "interp")]),
         ("transfer", ["transfer", "--checkpoint", tf_final, "--out", os.path.join(out, "transfer"),
-                      "--mode", "rescaled", "--epochs", "1", "--dropout", "0.1",
-                      "--n-train", "96", "--n-val", "64", "--batch-size", "16"]),
+                      "--mode", "rescaled", "--epochs", "1", "--dropout", "0.1", *small_task]),
+        ("gradual", ["transfer", "--checkpoint", tf_final, "--out", os.path.join(out, "gradual"),
+                     "--lr", "0.02", "0.2", "--dropout", "0.0", "0.1",
+                     "--epochs-per-stage", "2", *small_task]),
+        ("dense-recipe", ["transfer", "--checkpoint", os.path.join(out, "cnn", "ckpt_00005.splb"),
+                          "--out", os.path.join(out, "dense-recipe"), "--mode", "dense-recipe",
+                          *small_task]),
+        ("linear", ["transfer", "--checkpoint", os.path.join(out, "rigl", "ckpt_00006.splb"),
+                    "--out", os.path.join(out, "linear"), "--mode", "linear",
+                    "--lr", "0.05", "0.2", *small_task]),
+        ("sweep", ["sweep", "--grid", grid, "--out", os.path.join(out, "sweep")]),
     ]
 
 

@@ -43,6 +43,8 @@ def _cmd_train(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.checkpoint_every is not None:
+        if args.checkpoint_every < 1:
+            raise ConfigError("--checkpoint-every must be positive")
         cfg.checkpoint_every = args.checkpoint_every
     result = run_experiment(cfg, args.out)
     last = [r for r in result.metrics if r.split == "val"][-1]
@@ -152,6 +154,10 @@ def _cmd_transfer(args) -> int:
     # rejects a dropout rate for an architecture without dropout layers
     specs = {dr: replace(model.spec, dropout=dr) for dr in args.dropout}
     ds_spec = _transfer_dataset(model, args.task_seed, args.n_train, args.n_val)
+    hyper = TransferHyper(
+        batch_size=args.batch_size, epochs_per_stage=args.epochs_per_stage,
+        early_stop=not args.no_early_stop,
+    )
     data = build_dataset(ds_spec, Rng(args.task_seed).stream(STREAM_DATA))
     os.makedirs(args.out, exist_ok=True)
     results = []
@@ -160,10 +166,7 @@ def _cmd_transfer(args) -> int:
         if i:
             model = rebuild_model(ck)
         model.spec = specs[dr]
-        hyper = TransferHyper(
-            lr=lr, batch_size=args.batch_size, epochs_per_stage=args.epochs_per_stage,
-            early_stop=not args.no_early_stop,
-        )
+        hyper.lr = lr
         rng = Rng(args.task_seed + i)
         if args.mode == "gradual":
             res = transfer_run(model, data, hyper, rng)
@@ -202,9 +205,7 @@ def _cmd_flops(args) -> int:
         model = build_model(cfg.model, Rng(cfg.seed).stream(STREAM_INIT))
     dense_total, proportion = diagnostics.flops(model)
     print("layer,dense_flops,density")
-    for layer, weight_name, f in model.layer_flops():
-        entry = model.store[weight_name]
-        density = 1.0 if entry.mask is None else float(np.count_nonzero(entry.mask)) / entry.mask.size
+    for layer, f, density in diagnostics.flops_by_layer(model):
         print(f"{layer},{f},{format_sig9(density)}")
     print(f"total,{dense_total},{format_sig9(proportion)}")
     return 0

@@ -209,8 +209,8 @@ class ExperimentConfig:
         cfg.eval_train_split = bool(_take(d, "eval_train_split", cfg.eval_train_split))
         if not 0.0 <= cfg.label_smoothing < 1.0:
             raise ConfigError("label_smoothing must lie in [0, 1)")
-        if cfg.total_epochs <= 0 or cfg.batch_size <= 0 or cfg.multiplier <= 0:
-            raise ConfigError("epochs, batch size and multiplier must be positive")
+        if min(cfg.total_epochs, cfg.batch_size, cfg.multiplier, cfg.checkpoint_every) <= 0:
+            raise ConfigError("epochs, batch size, multiplier and checkpoint_every must be positive")
 
         opt = dict(_take(d, "optimizer", {}))
         _check_keys(opt, set(vars(cfg.optimizer)), "optimizer")

@@ -46,6 +46,10 @@ class DatasetSpec:
     labels_path: str = ""
     val_fraction: float = 0.2
 
+    def __post_init__(self):
+        if self.n_train < 1 or self.n_val < 1:
+            raise ConfigError("dataset n_train and n_val must be positive")
+
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
@@ -151,6 +155,9 @@ def build_dataset(spec: DatasetSpec, rng: Rng) -> Dataset:
         images, labels = load_idx(spec.images_path, spec.labels_path)
         n_val = int(len(images) * spec.val_fraction)
         n_train = len(images) - n_val
+        if n_train < 1 or n_val < 1:
+            raise ConfigError(f"val_fraction {spec.val_fraction} leaves a split of "
+                              f"{len(images)} images empty")
         classes = int(labels.max()) + 1
         return Dataset(
             images[:n_train], labels[:n_train], images[n_train:], labels[n_train:],

@@ -135,20 +135,24 @@ def channel_sparsity(
     return per_layer, zero_total / ch_total
 
 
+def flops_by_layer(model) -> list[tuple[str, int, float]]:
+    """(layer, dense inference FLOPs, mask density) per counted layer."""
+    out = []
+    for layer, weight_name, f in model.layer_flops():
+        mask = model.store[weight_name].mask
+        out.append((layer, f, 1.0 if mask is None else float(np.count_nonzero(mask)) / mask.size))
+    return out
+
+
 def flops(model) -> tuple[int, float]:
     """(dense inference FLOPs, sparse proportion) using the model's masks.
 
     Counts multiplies and adds separately (factor 2) over linear and
     convolution layers; a layer's sparse cost scales with its mask density.
     """
-    layers = model.layer_flops()
-    dense_total = sum(f for _, _, f in layers)
-    weighted = 0.0
-    for _, weight_name, f in layers:
-        entry = model.store[weight_name]
-        density = 1.0 if entry.mask is None else float(np.count_nonzero(entry.mask)) / entry.mask.size
-        weighted += density * f
-    return dense_total, weighted / dense_total
+    layers = flops_by_layer(model)
+    dense_total = sum(f for _, f, _ in layers)
+    return dense_total, sum(density * f for _, f, density in layers) / dense_total
 
 
 def aie(err_model: np.ndarray, err_base: np.ndarray) -> float:

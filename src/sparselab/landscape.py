@@ -21,17 +21,6 @@ log = logging.getLogger(__name__)
 ParamDict = dict[str, np.ndarray]
 
 
-@dataclass(frozen=True)
-class SharpnessCfg:
-    power_iters: int = 20
-    mask_restrict: bool = True
-    batch_size: int = 512
-
-    def __post_init__(self):
-        if self.power_iters < 1:
-            raise ShapeError("power_iters must be >= 1")
-
-
 def _as_f64(params: ParamDict) -> ParamDict:
     return {n: np.asarray(w, dtype=np.float64) for n, w in params.items()}
 

@@ -156,11 +156,6 @@ class ParamStore:
         entry.mask = mask
         entry.weights[mask == 0.0] = 0.0
 
-    def apply_masks(self) -> None:
-        for entry in self._entries.values():
-            if entry.mask is not None:
-                entry.weights[entry.mask == 0.0] = 0.0
-
     def masks(self) -> dict[str, np.ndarray]:
         return {n: e.mask for n, e in self._entries.items() if e.mask is not None}
 

@@ -1,6 +1,9 @@
 """Experiment orchestration: the training loop, method drivers, metric
 emission, checkpointing, and the sweep executor.
 
+`train_epochs` is the one minibatch SGD loop in the package: experiments
+(`run_experiment`) and every transfer recipe (`transfer`) train through it.
+
 A run is a pure function of its config: datasets, init, shuffling and
 dropout all derive from fixed sub-streams of the seed, so repeated runs
 emit byte-identical CSVs and checkpoints.
@@ -92,10 +95,6 @@ class _Driver:
 
     def state_dict(self) -> dict:
         return {}
-
-
-class _DenseDriver(_Driver):
-    pass
 
 
 class _OneshotDriver(_Driver):
@@ -248,7 +247,7 @@ class _RunContext:
         self.sgd = sgd
         self.cfg = cfg
         self.data = data
-        self._grad_batch: tuple[np.ndarray, np.ndarray] | None = None
+        self._grad_idx: np.ndarray | None = None
 
     def prunable_weights(self) -> dict[str, np.ndarray]:
         return self.model.prunable_weights()
@@ -274,11 +273,11 @@ class _RunContext:
         for name in self.model.prunable_names():
             self.model.store.set_mask(name, None)
 
-    def stage_grad_batch(self, x: np.ndarray, y: np.ndarray) -> None:
-        self._grad_batch = (x, y)
+    def stage_grad_batch(self, idx: np.ndarray) -> None:
+        self._grad_idx = idx
 
     def dense_grad_batch(self) -> dict[str, np.ndarray]:
-        x, y = self._grad_batch
+        x, y = self.data.x_train[self._grad_idx], self.data.y_train[self._grad_idx]
         _, grads = self.model.loss_and_grad(x, y, eps=self.cfg.label_smoothing)
         return grads
 
@@ -290,7 +289,7 @@ def _build_driver(cfg: ExperimentConfig) -> _Driver:
         keep_dense=tuple(cfg.sparsity.keep_dense),
     )
     if cfg.method == "dense":
-        return _DenseDriver()
+        return _Driver()
     if cfg.method == "oneshot":
         return _OneshotDriver(dist)
     if cfg.method == "gmp":
@@ -355,6 +354,34 @@ def evaluate_row(
     )
 
 
+def train_epochs(
+    model: Model, data: Dataset, sgd: SgdState, epochs: int, batch_size: int, eps: float,
+    shuffle_rng: Rng, dropout_rng: Rng, before_epoch=None,
+):
+    """Minibatch SGD over `data`'s train split, from step 0 of `sgd`'s schedule.
+
+    Each epoch draws a permutation, calls `before_epoch(epoch, order)` if
+    given, then takes one `sgd_step` per minibatch. After each epoch it
+    yields (epoch, steps taken so far, mean train loss over the epoch).
+    """
+    n = len(data.x_train)
+    step = 0
+    for epoch in range(epochs):
+        order = shuffle_rng.permutation(n)
+        if before_epoch is not None:
+            before_epoch(epoch, order)
+        loss_sum = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            loss, grads = model.loss_and_grad(
+                data.x_train[idx], data.y_train[idx], eps=eps, train=True, dropout_rng=dropout_rng
+            )
+            sgd_step(model.store, grads, sgd, step)
+            step += 1
+            loss_sum += loss * idx.size
+        yield epoch, step, loss_sum / n
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(
@@ -365,12 +392,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
     root = Rng(cfg.seed)
     data = build_dataset(cfg.dataset, root.stream(STREAM_DATA))
     model = build_model(cfg.model, root.stream(STREAM_INIT))
-    shuffle_rng = root.stream(STREAM_SHUFFLE)
-    dropout_rng = root.stream(STREAM_DROPOUT)
 
     total_epochs = cfg.effective_total
-    n_train = len(data.x_train)
-    steps_per_epoch = max(1, math.ceil(n_train / cfg.batch_size))
+    steps_per_epoch = math.ceil(len(data.x_train) / cfg.batch_size)
     schedule = LrSchedule(
         kind=cfg.optimizer.schedule,
         peak=cfg.optimizer.lr,
@@ -383,6 +407,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
     driver = _build_driver(cfg)
     ctx = _RunContext(model, sgd, cfg, data)
 
+    def before_epoch(epoch: int, order: np.ndarray) -> None:
+        ctx.stage_grad_batch(order[: cfg.batch_size])
+        driver.at_epoch_start(epoch, ctx)
+
     boundaries = driver.checkpoint_boundaries(cfg)
     if boundaries is None:
         boundaries = {b for b in range(cfg.checkpoint_every, total_epochs + 1, cfg.checkpoint_every)}
@@ -390,31 +418,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
 
     rows: list[diagnostics.MetricRow] = []
     ckpt_paths: list[str] = []
-    step = 0
+    epochs = train_epochs(
+        model, data, sgd, total_epochs, cfg.batch_size, cfg.label_smoothing,
+        root.stream(STREAM_SHUFFLE), root.stream(STREAM_DROPOUT), before_epoch,
+    )
     try:
-        for epoch in range(total_epochs):
-            order = shuffle_rng.permutation(n_train)
-            first = order[: cfg.batch_size]
-            ctx.stage_grad_batch(data.x_train[first], data.y_train[first])
-            driver.at_epoch_start(epoch, ctx)
-
-            loss_sum = 0.0
-            for b in range(steps_per_epoch):
-                idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                if idx.size == 0:
-                    continue
-                loss, grads = model.loss_and_grad(
-                    data.x_train[idx],
-                    data.y_train[idx],
-                    eps=cfg.label_smoothing,
-                    train=True,
-                    dropout_rng=dropout_rng,
-                )
-                sgd_step(model.store, grads, sgd, step)
-                step += 1
-                loss_sum += loss * idx.size
-            train_loss = loss_sum / n_train
-
+        for epoch, _, train_loss in epochs:
             rows.append(evaluate_row(model, data, epoch + 1, "val", train_loss))
             if cfg.eval_train_split:
                 rows.append(evaluate_row(model, data, epoch + 1, "train", train_loss))

@@ -7,6 +7,9 @@ to its peak each time, and finishes with one all-layers epoch. Masks are
 fixed for the entire transfer: sparsified weights keep their zeros bit for
 bit. Baselines: the plain dense recipe (3 epochs, everything trainable),
 its rescaled-length variants, and head-only linear finetuning.
+
+Every recipe is a list of stages run by `_finetune`, which trains each one
+through `runner.train_epochs`, the package's single training loop.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, MaskMutationError
 from .models import Model, reinit_head
-from .optim import LrSchedule, SgdState, lr_at, sgd_step
+from .optim import LrSchedule, SgdState, lr_at
 from .rng import Rng, STREAM_HEAD_INIT, STREAM_SHUFFLE, STREAM_DROPOUT
-from .runner import predict_logits
+from .runner import predict_logits, train_epochs
 from . import diagnostics
 
 EMBEDDINGS = "embeddings"
@@ -65,19 +68,14 @@ def trainable_set(groups: LayerGroups, stage: int) -> set[str]:
     B = groups.n_blocks
     if not 0 <= stage <= B + 1:
         raise ConfigError(f"stage {stage} outside [0, {B + 1}]")
-    names = set()
-    for group, members in groups.members.items():
-        for name in members:
-            if groups.classes[name] in _ALWAYS_TRAINABLE:
-                names.add(name)
     if stage == B + 1:
         return {n for ms in groups.members.values() for n in ms}
-    block_order = [g for g in groups.order if g.startswith("block_")]
-    for group in block_order[B - stage :]:
-        for name in groups.members[group]:
-            if groups.classes[name] in _BLOCK_WEIGHTS:
-                names.add(name)
-    return names
+    unfrozen = groups.order[B + 1 - stage : B + 1]  # the `stage` rearmost blocks
+    return {
+        n for g, ms in groups.members.items() for n in ms
+        if groups.classes[n] in _ALWAYS_TRAINABLE
+        or (g in unfrozen and groups.classes[n] in _BLOCK_WEIGHTS)
+    }
 
 
 @dataclass
@@ -90,6 +88,10 @@ class TransferHyper:
     label_smoothing: float = 0.0
     early_stop: bool = True
     patience: int = 2
+
+    def __post_init__(self):
+        if self.batch_size < 1 or self.epochs_per_stage < 1:
+            raise ConfigError("transfer batch size and epochs per stage must be positive")
 
 
 @dataclass
@@ -107,60 +109,14 @@ class StageRecord:
 class TransferResult:
     history: list[StageRecord]
     best_top1: float
-    best_stage: int
-    stopped_early: bool
     masks_preserved: bool
-
-
-def _snapshot_masks(model: Model) -> dict[str, np.ndarray]:
-    return {n: m.copy() for n, m in model.store.masks().items()}
 
 
 def _masks_identical(model: Model, snapshot: dict[str, np.ndarray]) -> bool:
     current = model.store.masks()
-    if set(current) != set(snapshot):
-        return False
-    return all(np.array_equal(current[n], snapshot[n]) for n in snapshot)
-
-
-def _train_span(
-    model: Model,
-    data: Dataset,
-    hyper: TransferHyper,
-    epochs: int,
-    shuffle_rng: Rng,
-    dropout_rng: Rng,
-) -> tuple[float, float]:
-    """Train for `epochs` with a fresh linear-decay schedule (no warmup).
-
-    Returns the learning rate at the first and last executed step.
-    """
-    n = len(data.x_train)
-    spe = max(1, math.ceil(n / hyper.batch_size))
-    total_steps = epochs * spe
-    schedule = LrSchedule(
-        kind="linear-warmup-linear-decay", peak=hyper.lr, warmup_end=0, total_steps=total_steps
+    return set(current) == set(snapshot) and all(
+        np.array_equal(current[n], snapshot[n]) for n in snapshot
     )
-    sgd = SgdState(
-        model.store, schedule, momentum=hyper.momentum, weight_decay=hyper.weight_decay
-    )
-    step = 0
-    for _ in range(epochs):
-        order = shuffle_rng.permutation(n)
-        for b in range(spe):
-            idx = order[b * hyper.batch_size : (b + 1) * hyper.batch_size]
-            if idx.size == 0:
-                continue
-            _, grads = model.loss_and_grad(
-                data.x_train[idx],
-                data.y_train[idx],
-                eps=hyper.label_smoothing,
-                train=True,
-                dropout_rng=dropout_rng,
-            )
-            sgd_step(model.store, grads, sgd, step)
-            step += 1
-    return lr_at(schedule, 0), lr_at(schedule, max(0, total_steps - 1))
 
 
 def _set_trainable(model: Model, names: set[str]) -> None:
@@ -168,10 +124,68 @@ def _set_trainable(model: Model, names: set[str]) -> None:
         entry.trainable = name in names
 
 
-def _eval(model: Model, data: Dataset) -> tuple[float, float]:
-    logits = predict_logits(model, data.x_val)
-    return diagnostics.mean_cross_entropy(logits, data.y_val), diagnostics.top1(
-        logits, data.y_val
+def _finetune(
+    model: Model, data: Dataset, hyper: TransferHyper, rng: Rng, fresh_head: bool,
+    stages: list[tuple[str, set[str], int]], eval_every_epoch: bool = False,
+) -> TransferResult:
+    """Train `stages` of (label, trainable names, epochs) in order, masks fixed.
+
+    Each stage starts a fresh SGD state on a linear decay from the peak
+    learning rate. The model is evaluated at the end of each stage, or after
+    every epoch when `eval_every_epoch`; each evaluation is one `StageRecord`
+    and counts towards early stopping.
+    """
+    if fresh_head:
+        reinit_head(model, rng.stream(STREAM_HEAD_INIT))
+    mask_snapshot = {n: m.copy() for n, m in model.store.masks().items()}
+    shuffle_rng = rng.stream(STREAM_SHUFFLE)
+    dropout_rng = rng.stream(STREAM_DROPOUT)
+    steps_per_epoch = math.ceil(len(data.x_train) / hyper.batch_size)
+
+    def evaluated_spans():
+        for label, names, epochs in stages:
+            _set_trainable(model, names)
+            schedule = LrSchedule(peak=hyper.lr, total_steps=epochs * steps_per_epoch)
+            sgd = SgdState(model.store, schedule, hyper.momentum, hyper.weight_decay)
+            span_start = 0
+            for epoch, step, _ in train_epochs(
+                model, data, sgd, epochs, hyper.batch_size, hyper.label_smoothing,
+                shuffle_rng, dropout_rng,
+            ):
+                if eval_every_epoch or epoch + 1 == epochs:
+                    yield label, len(names), lr_at(schedule, span_start), lr_at(schedule, step - 1)
+                    span_start = step
+
+    history: list[StageRecord] = []
+    best_top1 = -1.0
+    since_improve = 0
+    for label, trainable, lr_first, lr_last in evaluated_spans():
+        if not _masks_identical(model, mask_snapshot):
+            raise MaskMutationError(f"mask changed during transfer stage {len(history)} ({label})")
+        logits = predict_logits(model, data.x_val)
+        top1 = diagnostics.top1(logits, data.y_val)
+        history.append(
+            StageRecord(
+                stage=len(history),
+                label=label,
+                trainable=trainable,
+                lr_first=lr_first,
+                lr_last=lr_last,
+                eval_loss=diagnostics.mean_cross_entropy(logits, data.y_val),
+                top1=top1,
+            )
+        )
+        if top1 > best_top1:
+            best_top1, since_improve = top1, 0
+        else:
+            since_improve += 1
+            if hyper.early_stop and since_improve >= hyper.patience:
+                break
+    _set_trainable(model, set(model.store.names()))
+    return TransferResult(
+        history=history,
+        best_top1=best_top1,
+        masks_preserved=_masks_identical(model, mask_snapshot),
     )
 
 
@@ -183,55 +197,13 @@ def transfer_run(
     fresh_head: bool = True,
 ) -> TransferResult:
     """Gradual back-to-front unfreezing with per-stage LR rewind."""
-    if fresh_head:
-        reinit_head(model, rng.stream(STREAM_HEAD_INIT))
     groups = layer_groups(model)
     B = groups.n_blocks
-    mask_snapshot = _snapshot_masks(model)
-    shuffle_rng = rng.stream(STREAM_SHUFFLE)
-    dropout_rng = rng.stream(STREAM_DROPOUT)
-
-    history: list[StageRecord] = []
-    best_top1 = -1.0
-    best_stage = -1
-    since_improve = 0
-    stopped = False
-    for stage in range(B + 2):
-        names = trainable_set(groups, stage)
-        _set_trainable(model, names)
-        lr_first, lr_last = _train_span(
-            model, data, hyper, hyper.epochs_per_stage, shuffle_rng, dropout_rng
-        )
-        if not _masks_identical(model, mask_snapshot):
-            raise MaskMutationError(f"mask changed during transfer stage {stage}")
-        loss, top1 = _eval(model, data)
-        label = "all-layers" if stage == B + 1 else ("head-only" if stage == 0 else f"unfreeze-{stage}")
-        history.append(
-            StageRecord(
-                stage=stage,
-                label=label,
-                trainable=len(names),
-                lr_first=lr_first,
-                lr_last=lr_last,
-                eval_loss=loss,
-                top1=top1,
-            )
-        )
-        if top1 > best_top1:
-            best_top1, best_stage, since_improve = top1, stage, 0
-        else:
-            since_improve += 1
-            if hyper.early_stop and since_improve >= hyper.patience:
-                stopped = True
-                break
-    _set_trainable(model, set(model.store.names()))
-    return TransferResult(
-        history=history,
-        best_top1=best_top1,
-        best_stage=best_stage,
-        stopped_early=stopped,
-        masks_preserved=_masks_identical(model, mask_snapshot),
-    )
+    labels = ["head-only"] + [f"unfreeze-{k}" for k in range(1, B + 1)] + ["all-layers"]
+    stages = [
+        (label, trainable_set(groups, k), hyper.epochs_per_stage) for k, label in enumerate(labels)
+    ]
+    return _finetune(model, data, hyper, rng, fresh_head, stages)
 
 
 DENSE_RECIPE_EPOCHS = 3
@@ -248,7 +220,7 @@ def baseline_recipes(
     fresh_head: bool = True,
 ) -> TransferResult:
     """Dense-recipe baseline (3 epochs, full finetune), rescaled(E) variants,
-    and linear (head-only) finetuning."""
+    and linear (head-only) finetuning, evaluated after every epoch."""
     if mode == "dense-recipe":
         epochs = DENSE_RECIPE_EPOCHS
     elif mode == "rescaled":
@@ -256,76 +228,11 @@ def baseline_recipes(
             raise ConfigError("rescaled mode needs an explicit epoch count")
     else:
         raise ConfigError(f"unknown baseline mode {mode!r}")
-    if finetune not in ("full", "linear"):
-        raise ConfigError(f"unknown finetune variant {finetune!r}")
-
-    if fresh_head:
-        reinit_head(model, rng.stream(STREAM_HEAD_INIT))
-    groups = layer_groups(model)
-    mask_snapshot = _snapshot_masks(model)
     if finetune == "linear":
-        names = {n for n, c in groups.classes.items() if c == "head-param"}
-    else:
+        names = {n for n, c in layer_groups(model).classes.items() if c == "head-param"}
+    elif finetune == "full":
         names = set(model.store.names())
-    _set_trainable(model, names)
-
-    shuffle_rng = rng.stream(STREAM_SHUFFLE)
-    dropout_rng = rng.stream(STREAM_DROPOUT)
-    history: list[StageRecord] = []
-    best_top1 = -1.0
-    best_stage = -1
-    since_improve = 0
-    stopped = False
-    n = len(data.x_train)
-    spe = max(1, math.ceil(n / hyper.batch_size))
-    total_steps = epochs * spe
-    schedule = LrSchedule(
-        kind="linear-warmup-linear-decay", peak=hyper.lr, warmup_end=0, total_steps=total_steps
-    )
-    sgd = SgdState(model.store, schedule, momentum=hyper.momentum, weight_decay=hyper.weight_decay)
-    step = 0
-    for epoch in range(epochs):
-        order = shuffle_rng.permutation(n)
-        lr_first = lr_at(schedule, step)
-        for b in range(spe):
-            idx = order[b * hyper.batch_size : (b + 1) * hyper.batch_size]
-            if idx.size == 0:
-                continue
-            _, grads = model.loss_and_grad(
-                data.x_train[idx],
-                data.y_train[idx],
-                eps=hyper.label_smoothing,
-                train=True,
-                dropout_rng=dropout_rng,
-            )
-            sgd_step(model.store, grads, sgd, step)
-            step += 1
-        if not _masks_identical(model, mask_snapshot):
-            raise MaskMutationError(f"mask changed during baseline epoch {epoch}")
-        loss, top1 = _eval(model, data)
-        history.append(
-            StageRecord(
-                stage=epoch,
-                label=f"{mode}-{finetune}",
-                trainable=len(names),
-                lr_first=lr_first,
-                lr_last=lr_at(schedule, max(0, step - 1)),
-                eval_loss=loss,
-                top1=top1,
-            )
-        )
-        if top1 > best_top1:
-            best_top1, best_stage, since_improve = top1, epoch, 0
-        else:
-            since_improve += 1
-            if hyper.early_stop and since_improve >= hyper.patience:
-                stopped = True
-                break
-    _set_trainable(model, set(model.store.names()))
-    return TransferResult(
-        history=history,
-        best_top1=best_top1,
-        best_stage=best_stage,
-        stopped_early=stopped,
-        masks_preserved=_masks_identical(model, mask_snapshot),
-    )
+    else:
+        raise ConfigError(f"unknown finetune variant {finetune!r}")
+    stages = [(f"{mode}-{finetune}", names, epochs)]
+    return _finetune(model, data, hyper, rng, fresh_head, stages, eval_every_epoch=True)

@@ -33,3 +33,28 @@ def max_rel_error(analytic, fd):
 @pytest.fixture
 def tmp_out(tmp_path):
     return str(tmp_path)
+
+
+def record_stage_starts(monkeypatch):
+    """Weights and trainable names at the start of each stage's training
+    loop, recorded by wrapping `train_epochs` as the transfer module calls it."""
+    from sparselab import runner, transfer
+
+    starts = []
+
+    def recording(model, *args, **kwargs):
+        weights = {n: e.weights.copy() for n, e in model.store.items()}
+        starts.append((weights, {n for n, e in model.store.items() if e.trainable}))
+        return runner.train_epochs(model, *args, **kwargs)
+
+    monkeypatch.setattr(transfer, "train_epochs", recording)
+    return starts
+
+
+def changed_per_stage(starts, model):
+    """(trainable names, names whose weights moved) for each recorded stage."""
+    ends = [w for w, _ in starts[1:]] + [{n: e.weights for n, e in model.store.items()}]
+    return [
+        (names, {n for n in before if not np.array_equal(before[n], after[n])})
+        for (before, names), after in zip(starts, ends)
+    ]

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fd_gradients, max_rel_error
+from conftest import changed_per_stage, fd_gradients, max_rel_error, record_stage_starts
 
 from sparselab import diagnostics as dg
 from sparselab.checkpoint import load_checkpoint, rebuild_model, save_checkpoint
@@ -549,11 +549,9 @@ def test_criterion_9_weight_decay_trend(tmp_path):
 # -- 10. transfer contracts --------------------------------------------------------
 
 
-def test_criterion_10_transfer_contracts():
+def test_criterion_10_transfer_contracts(monkeypatch):
     from sparselab.data import DatasetSpec, build_dataset
-    from sparselab.models import reinit_head
-    from sparselab.rng import STREAM_DATA, STREAM_DROPOUT, STREAM_HEAD_INIT, STREAM_SHUFFLE
-    from sparselab.transfer import _set_trainable, _train_span
+    from sparselab.rng import STREAM_DATA
 
     spec = tiny_transformer_spec(vocab=8, max_len=8, d_model=8, ff_dim=12, blocks=2, classes=2)
     model = build_model(spec, Rng(101))
@@ -575,34 +573,22 @@ def test_criterion_10_transfer_contracts():
         assert a <= b
     assert stage_sets[-1] == set(model.store.names())
 
-    # staged run with per-stage snapshots for the isolation check
+    # the gradual recipe, with the weights recorded as each stage starts
     hyper = TransferHyper(lr=0.05, batch_size=32, early_stop=False)
-    rng = Rng(103)
-    reinit_head(model, rng.stream(STREAM_HEAD_INIT))
     mask_before = {n: m.copy() for n, m in model.store.masks().items()}
-    shuffle_rng = rng.stream(STREAM_SHUFFLE)
-    dropout_rng = rng.stream(STREAM_DROPOUT)
-    eval_losses = []
-    for stage in range(B + 2):
-        before = {n: e.weights.copy() for n, e in model.store.items()}
-        _set_trainable(model, stage_sets[stage])
-        lr_first, lr_last = _train_span(model, data, hyper, 1, shuffle_rng, dropout_rng)
-        assert lr_first == pytest.approx(hyper.lr, abs=0)  # LR rewound each stage
-        assert lr_last <= hyper.lr / 2  # decayed to ~0 within one step
-        changed = {n for n, e in model.store.items() if not np.array_equal(before[n], e.weights)}
+    starts = record_stage_starts(monkeypatch)
+    result = transfer_run(model, data, hyper, Rng(103))
+    assert len(result.history) == B + 2
+    for stage, (names, changed) in enumerate(changed_per_stage(starts, model)):
+        assert names == stage_sets[stage]
         assert changed <= stage_sets[stage], f"stage {stage} isolation violated"
-        eval_losses.append(dataset_loss(model, data.x_val, data.y_val))
+    for rec in result.history:
+        assert rec.lr_first == pytest.approx(hyper.lr, abs=0)  # LR rewound each stage
+        assert rec.lr_last <= hyper.lr / 2  # decayed to ~0 within one step
     for n, m in model.store.masks().items():  # fixed-mask bit identity
         assert np.array_equal(m, mask_before[n])
-    assert all(np.isfinite(v) for v in eval_losses)
-
-    # the packaged recipe agrees with the contracts end to end
-    model2 = build_model(spec, Rng(101))
-    for n, m in masks.items():
-        model2.store.set_mask(n, m)
-    result = transfer_run(model2, data, hyper, Rng(103))
     assert result.masks_preserved
-    assert len(result.history) == B + 2
+    assert all(np.isfinite(rec.eval_loss) for rec in result.history)
     report(10, f"nesting, fixed masks, stage isolation, LR rewind on B={B} gradual unfreeze")
 
 

@@ -184,3 +184,40 @@ def test_transfer_rejects_dropout_outside_unit_interval(tmp_path, rate):
     rc = main(["transfer", "--checkpoint", os.path.join(out, "ckpt_00001.splb"),
                "--out", str(tmp_path / "t"), "--dropout", rate])
     assert rc == 2
+
+
+TINY_TRANSFORMER = {
+    "seed": 5, "method": "dense", "total_epochs": 1, "batch_size": 32,
+    "model": {"arch": "tiny-transformer", "vocab": 4, "max_len": 4, "d_model": 8,
+              "ff_dim": 8, "blocks": 1, "classes": 2},
+    "dataset": {"kind": "synthetic-sequences", "n_train": 32, "n_val": 16,
+                "vocab": 4, "seq_len": 4},
+}
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("config", {"checkpoint_every": 0}),
+    ("config", {"dataset": dict(TINY_TRANSFORMER["dataset"], n_train=0)}),
+    ("train", ["--checkpoint-every", "0"]),
+    ("transfer", ["--batch-size", "0"]),
+    ("transfer", ["--n-val", "0"]),
+    ("transfer", ["--n-train", "0"]),
+    ("transfer", ["--epochs-per-stage", "0"]),
+])
+def test_malformed_loop_inputs_exit_2(tmp_path, capsys, command, bad):
+    """Inputs that would leave the training loop with no batch, no data or
+    no epoch are config errors: one line on stderr and exit status 2."""
+    tree = dict(TINY_TRANSFORMER, **bad) if command == "config" else TINY_TRANSFORMER
+    train = ["train", "--config", write_cfg(tmp_path, "cfg.json", tree),
+             "--out", str(tmp_path / "run")]
+    if command == "transfer":
+        assert main(train) == 0
+        capsys.readouterr()
+        ckpt = str(tmp_path / "run" / "ckpt_00001.splb")
+        dest = str(tmp_path / "t")
+        assert main(["transfer", "--checkpoint", ckpt, "--out", dest, *bad]) == 2
+        assert not os.path.exists(dest)
+    else:
+        assert main(train + (bad if command == "train" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

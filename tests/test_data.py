@@ -10,7 +10,7 @@ from sparselab.data import (
     make_blobs,
     make_sequences,
 )
-from sparselab.errors import DataError
+from sparselab.errors import ConfigError, DataError
 from sparselab.rng import Rng
 
 
@@ -64,6 +64,15 @@ def test_idx_count_mismatch(tmp_path):
     _, lab3 = write_idx_pair(tmp_path, np.zeros((3, 4, 4), dtype=np.uint8), [0, 1, 2], prefix="b_")
     with pytest.raises(DataError, match="count"):
         load_idx(img, lab3)
+
+
+@pytest.mark.parametrize("val_fraction", [0.0, 1.0])
+def test_idx_split_leaves_no_side_empty(tmp_path, val_fraction):
+    img, lab = write_idx_pair(tmp_path, np.zeros((4, 2, 2)), [0, 1, 0, 1])
+    spec = DatasetSpec(kind="idx-images", images_path=img, labels_path=lab,
+                       val_fraction=val_fraction)
+    with pytest.raises(ConfigError):
+        build_dataset(spec, Rng(0))
 
 
 def test_blobs_deterministic_and_disjoint():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import changed_per_stage, record_stage_starts
 from sparselab.data import DatasetSpec, build_dataset
 from sparselab.errors import ConfigError
 from sparselab.models import build_model, mlp_spec, tiny_transformer_spec
@@ -103,29 +104,17 @@ def test_transfer_run_contracts():
         assert rec.eval_loss > 0.0
 
 
-def test_stage_isolation_by_checkpoint_diff():
+def test_stage_isolation_by_checkpoint_diff(monkeypatch):
     data = seq_data(seed=5)
     hyper = TransferHyper(lr=0.05, batch_size=32, early_stop=False, epochs_per_stage=1)
-
-    # replicate the staged run, snapshotting around each stage
     model = sparse_transformer(seed=3)
-    from sparselab.models import reinit_head
-    from sparselab.rng import STREAM_HEAD_INIT, STREAM_SHUFFLE, STREAM_DROPOUT
-    from sparselab.transfer import _set_trainable, _train_span
-
-    rng = Rng(200)
-    reinit_head(model, rng.stream(STREAM_HEAD_INIT))
     groups = layer_groups(model)
-    shuffle_rng = rng.stream(STREAM_SHUFFLE)
-    dropout_rng = rng.stream(STREAM_DROPOUT)
-    for stage in range(4):
-        names = trainable_set(groups, stage)
-        before = {n: e.weights.copy() for n, e in model.store.items()}
-        _set_trainable(model, names)
-        _train_span(model, data, hyper, 1, shuffle_rng, dropout_rng)
-        changed = {
-            n for n, e in model.store.items() if not np.array_equal(before[n], e.weights)
-        }
+    starts = record_stage_starts(monkeypatch)
+    result = transfer_run(model, data, hyper, Rng(200))
+
+    assert len(result.history) == 4
+    for stage, (names, changed) in enumerate(changed_per_stage(starts, model)):
+        assert names == trainable_set(groups, stage)
         assert changed <= names, f"stage {stage} touched {changed - names}"
         if stage == 0:
             head_and_norms = {n for n in changed if model.info[n].cls in

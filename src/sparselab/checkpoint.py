@@ -10,6 +10,7 @@ along so that load(save(x)) is bit-identical to x.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckpointError
-from .models import Model, ModelSpec, ParamStore, build_model
-from .rng import Rng
+from .models import Model, ModelSpec, ParamStore
 
 MAGIC = b"SPLB"
 VERSION = 1
@@ -101,33 +101,44 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = json.loads(raw[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from e
+    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
+            and isinstance(header.get("meta"), dict)):
+        raise CheckpointError(f"{path}: header needs a tensor list and a metadata object")
     payload = raw[header_end:]
     tensors: dict[tuple[str, str], np.ndarray] = {}
     for rec in header["tensors"]:
-        shape = tuple(rec["shape"])
-        n_bytes = int(np.prod(shape)) * 4 if shape else 4
-        start = rec["offset"]
-        if start + n_bytes > len(payload):
-            raise CheckpointError(f"{path}: tensor {rec['name']} out of payload bounds")
-        arr = np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape)), offset=start)
-        tensors[(rec["kind"], rec["name"])] = arr.reshape(shape).copy()
+        try:
+            name, kind, shape, start = rec["name"], rec["kind"], tuple(rec["shape"]), rec["offset"]
+        except (KeyError, TypeError) as e:
+            raise CheckpointError(f"{path}: malformed tensor record {rec!r}") from e
+        if not (isinstance(name, str) and isinstance(kind, str)
+                and all(isinstance(n, int) and n >= 0 for n in shape)
+                and isinstance(start, int) and start >= 0):
+            raise CheckpointError(f"{path}: tensor record {rec!r} has a bad name, shape or offset")
+        count = math.prod(shape)
+        if start + 4 * count > len(payload):
+            raise CheckpointError(f"{path}: tensor {name} out of payload bounds")
+        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
+        tensors[(kind, name)] = arr.reshape(shape).copy()
     return Checkpoint(tensors=tensors, meta=header["meta"])
 
 
 def rebuild_model(ck: Checkpoint) -> Model:
-    """Reconstruct a Model (weights + masks) from a checkpoint's metadata."""
+    """Reconstruct a Model (weights + masks) from a checkpoint's metadata.
+
+    Draws nothing: the architecture's parameter table gives the order and
+    shapes, and every tensor is copied, so models rebuilt from one
+    checkpoint share no array."""
     if "model_spec" not in ck.meta:
         raise CheckpointError("checkpoint metadata carries no model spec")
-    spec = ModelSpec.from_dict(ck.meta["model_spec"])
-    model = build_model(spec, Rng(0))
-    weights = ck.weights()
-    if set(weights) != set(model.store.names()):
+    model = Model(ModelSpec.from_dict(ck.meta["model_spec"]), ParamStore())
+    weights, masks = ck.weights(), ck.masks()
+    if set(weights) != set(model.info) or not set(masks) <= set(weights):
         raise CheckpointError("checkpoint parameters do not match the model spec")
-    for name, arr in weights.items():
-        entry = model.store[name]
-        if entry.weights.shape != arr.shape:
+    for name, d in model.info.items():
+        if weights[name].shape != d.shape:
             raise CheckpointError(f"shape mismatch for {name}")
-        entry.weights[...] = arr
-    for name, mask in ck.masks().items():
-        model.store.set_mask(name, mask)
+        model.store.add(name, weights[name].copy())
+    for name, mask in masks.items():
+        model.store.set_mask(name, mask.copy())
     return model

@@ -135,16 +135,16 @@ def _cmd_interpolate(args) -> int:
     return 0
 
 
-def _transfer_dataset(model: Model, seed: int, n_train: int, n_val: int) -> DatasetSpec:
+def _transfer_dataset(model: Model, n_train: int, n_val: int) -> DatasetSpec:
     s = model.spec
-    if model.input_kind == "tokens":
+    if model.input_dim is None:
         return DatasetSpec(
             kind="synthetic-sequences", n_train=n_train, n_val=n_val,
             vocab=s.vocab, seq_len=s.max_len,
         )
-    dim = s.layer_dims[0] if s.arch == "mlp" else s.in_channels * s.image_hw[0] * s.image_hw[1]
     return DatasetSpec(
-        kind="synthetic-blobs", n_train=n_train, n_val=n_val, classes=s.classes, dim=dim,
+        kind="synthetic-blobs", n_train=n_train, n_val=n_val, classes=s.classes,
+        dim=model.input_dim,
     )
 
 
@@ -153,11 +153,13 @@ def _cmd_transfer(args) -> int:
     model = rebuild_model(ck)
     # rejects a dropout rate for an architecture without dropout layers
     specs = {dr: replace(model.spec, dropout=dr) for dr in args.dropout}
-    ds_spec = _transfer_dataset(model, args.task_seed, args.n_train, args.n_val)
+    ds_spec = _transfer_dataset(model, args.n_train, args.n_val)
     hyper = TransferHyper(
         batch_size=args.batch_size, epochs_per_stage=args.epochs_per_stage,
         early_stop=not args.no_early_stop,
     )
+    if args.mode == "rescaled" and args.epochs < 1:
+        raise ConfigError("--epochs must be positive")
     data = build_dataset(ds_spec, Rng(args.task_seed).stream(STREAM_DATA))
     os.makedirs(args.out, exist_ok=True)
     results = []

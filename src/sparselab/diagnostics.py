@@ -136,11 +136,12 @@ def channel_sparsity(
 
 
 def flops_by_layer(model) -> list[tuple[str, int, float]]:
-    """(layer, dense inference FLOPs, mask density) per counted layer."""
+    """(layer, dense inference FLOPs, mask density) per prunable weight."""
     out = []
-    for layer, weight_name, f in model.layer_flops():
-        mask = model.store[weight_name].mask
-        out.append((layer, f, 1.0 if mask is None else float(np.count_nonzero(mask)) / mask.size))
+    for name in model.prunable_names():
+        mask = model.store[name].mask
+        density = 1.0 if mask is None else float(np.count_nonzero(mask)) / mask.size
+        out.append((model.info[name].layer, model.info[name].flops, density))
     return out
 
 

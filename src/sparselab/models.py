@@ -5,13 +5,18 @@ f32 tensors with optional masks and a trainable flag). The forward pass
 is built on the autodiff tape each call, so gradients are available for
 every parameter, masked or not; the optimizer decides what to ignore.
 
+Each architecture's facts live in one table, `ARCHS`: its parameters
+(`ParamDef`), forward pass, input dimension and whether it has dropout.
+
 Prunable parameters are exactly the weights of linear and convolution
-layers; biases, normalization parameters and embeddings are never pruned.
+layers, the layers FLOPs are counted over; biases, normalization
+parameters and embeddings are never pruned.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +54,11 @@ class ModelSpec:
     dropout: float = 0.0
 
     def __post_init__(self):
+        if self.arch not in ARCHS:
+            raise ConfigError(f"unknown architecture {self.arch!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.dropout > 0.0 and self.arch != TINY_TRANSFORMER:
+        if self.dropout > 0.0 and not ARCHS[self.arch].dropout:
             raise ConfigError(f"{self.arch} has no dropout layers, so dropout must be 0")
 
     def to_dict(self) -> dict:
@@ -107,14 +114,6 @@ def tiny_transformer_spec(
         classes=classes,
         dropout=dropout,
     )
-
-
-@dataclass
-class ParamInfo:
-    cls: str  # linear-weight | conv-weight | bias | norm-param | embedding | head-param
-    prunable: bool
-    group: str  # embeddings | block_<i> | head
-    layer: str
 
 
 @dataclass
@@ -174,28 +173,53 @@ class ParamStore:
         return sum(e.weights.size for e in self._entries.values())
 
 
-class Model:
-    def __init__(self, spec: ModelSpec, store: ParamStore, info: dict[str, ParamInfo]):
-        self.spec = spec
-        self.store = store
-        self.info = info
+@dataclass(frozen=True)
+class ParamDef:
+    """One parameter of an architecture. A table lists them in the order
+    `build_model` draws them, with the transfer groups front to back."""
+
+    name: str
+    shape: tuple[int, ...]
+    cls: str  # linear-weight | conv-weight | bias | norm-param | embedding | head-param
+    group: str  # embeddings | block_<i> | head
+    layer: str
+    init: str  # kaiming | uniform (both over fan_in) | normal | ones | zeros
+    fan_in: int = 0
+    uses: int = 0  # applications per example; only prunable weights have any
 
     @property
-    def input_kind(self) -> str:
-        return "tokens" if self.spec.arch == TINY_TRANSFORMER else "vector"
+    def prunable(self) -> bool:
+        return self.uses > 0
+
+    @property
+    def flops(self) -> int:
+        """Dense inference FLOPs per example: a multiply and an add per use of each entry."""
+        return 2 * math.prod(self.shape) * self.uses
+
+
+class Model:
+    def __init__(self, spec: ModelSpec, store: ParamStore):
+        self.spec = spec
+        self.store = store
+        self.info = {d.name: d for d in ARCHS[spec.arch].params(spec)}
+
+    @property
+    def input_dim(self) -> int | None:
+        """Features per example, or None when the model reads token ids."""
+        return ARCHS[self.spec.arch].input_dim(self.spec)
 
     def prunable_names(self) -> list[str]:
-        return [n for n in self.store.names() if self.info[n].prunable]
+        return [n for n, d in self.info.items() if d.prunable]
 
     def prunable_weights(self) -> dict[str, np.ndarray]:
         return {n: self.store[n].weights for n in self.prunable_names()}
 
     def conv_layers(self) -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
         out = {}
-        for n in self.store.names():
-            if self.info[n].cls == "conv-weight":
+        for n, d in self.info.items():
+            if d.cls == "conv-weight":
                 e = self.store[n]
-                out[self.info[n].layer] = (e.weights, e.mask)
+                out[d.layer] = (e.weights, e.mask)
         return out
 
     # -- forward / gradients ------------------------------------------------
@@ -203,82 +227,6 @@ class Model:
     def _param_vars(self, params: dict[str, np.ndarray] | None) -> dict[str, Var]:
         arrays = self.store.weight_arrays() if params is None else params
         return {name: Var(arr) for name, arr in arrays.items()}
-
-    def _forward_var(self, pv: dict[str, Var], x: np.ndarray, train: bool, dropout_rng: Rng | None) -> Var:
-        arch = self.spec.arch
-        if arch == MLP:
-            return self._forward_mlp(pv, x)
-        if arch == MICRO_CNN:
-            return self._forward_cnn(pv, x)
-        if arch == TINY_TRANSFORMER:
-            return self._forward_transformer(pv, x, train, dropout_rng)
-        raise ConfigError(f"unknown architecture {arch!r}")
-
-    def _cast_input(self, pv: dict[str, Var], x: np.ndarray) -> np.ndarray:
-        dtype = next(iter(pv.values())).value.dtype
-        return np.ascontiguousarray(x, dtype=dtype)
-
-    def _forward_mlp(self, pv: dict[str, Var], x: np.ndarray) -> Var:
-        dims = self.spec.layer_dims
-        x = self._cast_input(pv, x)
-        if x.ndim != 2 or x.shape[1] != dims[0]:
-            raise ShapeError(f"mlp input {x.shape}, expected (batch, {dims[0]})")
-        h = Var(x)
-        n_layers = len(dims) - 1
-        for i in range(1, n_layers + 1):
-            h = ad.add(ad.matmul(h, pv[f"fc{i}.weight"]), pv[f"fc{i}.bias"])
-            if i < n_layers:
-                h = ad.relu(h)
-        return h
-
-    def _forward_cnn(self, pv: dict[str, Var], x: np.ndarray) -> Var:
-        s = self.spec
-        H, W = s.image_hw
-        x = self._cast_input(pv, x)
-        if x.ndim == 2:
-            if x.shape[1] != s.in_channels * H * W:
-                raise ShapeError(f"cnn input {x.shape}, expected (batch, {s.in_channels * H * W})")
-            x = x.reshape(-1, s.in_channels, H, W)
-        h = Var(x)
-        h = ad.relu(ad.conv2d(h, pv["conv1.weight"], pv["conv1.bias"], pad=1))
-        h = ad.avg_pool2d(h, 2)
-        h = ad.relu(ad.conv2d(h, pv["conv2.weight"], pv["conv2.bias"], pad=1))
-        h = ad.avg_pool2d(h, 2)
-        h = ad.reshape(h, (h.shape[0], -1))
-        return ad.add(ad.matmul(h, pv["head.weight"]), pv["head.bias"])
-
-    def _forward_transformer(
-        self, pv: dict[str, Var], ids: np.ndarray, train: bool, dropout_rng: Rng | None
-    ) -> Var:
-        s = self.spec
-        ids = np.asarray(ids)
-        if ids.ndim != 2 or ids.shape[1] > s.max_len:
-            raise ShapeError(f"token input {ids.shape}, max_len {s.max_len}")
-        T = ids.shape[1]
-        h = ad.add(ad.embedding(pv["tok_emb.weight"], ids), ad.take_rows(pv["pos_emb.weight"], T))
-        inv_sqrt_d = 1.0 / math.sqrt(s.d_model)
-        use_dropout = train and s.dropout > 0.0 and dropout_rng is not None
-        for i in range(1, s.blocks + 1):
-            b = f"block{i}"
-            pre = ad.layer_norm(h, pv[f"{b}.ln1.scale"], pv[f"{b}.ln1.bias"])
-            q = ad.add(ad.matmul(pre, pv[f"{b}.attn.wq.weight"]), pv[f"{b}.attn.wq.bias"])
-            k = ad.add(ad.matmul(pre, pv[f"{b}.attn.wk.weight"]), pv[f"{b}.attn.wk.bias"])
-            v = ad.add(ad.matmul(pre, pv[f"{b}.attn.wv.weight"]), pv[f"{b}.attn.wv.bias"])
-            attn = ad.softmax_last(ad.scale(ad.matmul(q, ad.swap_last2(k)), inv_sqrt_d))
-            ctx = ad.matmul(attn, v)
-            proj = ad.add(ad.matmul(ctx, pv[f"{b}.attn.wo.weight"]), pv[f"{b}.attn.wo.bias"])
-            if use_dropout:
-                proj = ad.dropout(proj, s.dropout, dropout_rng.uniforms(proj.value.size))
-            h = ad.add(h, proj)
-            pre2 = ad.layer_norm(h, pv[f"{b}.ln2.scale"], pv[f"{b}.ln2.bias"])
-            f1 = ad.relu(ad.add(ad.matmul(pre2, pv[f"{b}.ff.w1.weight"]), pv[f"{b}.ff.w1.bias"]))
-            f2 = ad.add(ad.matmul(f1, pv[f"{b}.ff.w2.weight"]), pv[f"{b}.ff.w2.bias"])
-            if use_dropout:
-                f2 = ad.dropout(f2, s.dropout, dropout_rng.uniforms(f2.value.size))
-            h = ad.add(h, f2)
-        h = ad.layer_norm(h, pv["final_ln.scale"], pv["final_ln.bias"])
-        pooled = ad.mean_axis(h, 1)
-        return ad.add(ad.matmul(pooled, pv["head.weight"]), pv["head.bias"])
 
     def forward(
         self,
@@ -289,7 +237,7 @@ class Model:
         dropout_rng: Rng | None = None,
     ) -> np.ndarray:
         pv = self._param_vars(params)
-        logits = self._forward_var(pv, x, train, dropout_rng)
+        logits = ARCHS[self.spec.arch].forward(self.spec, pv, x, train, dropout_rng)
         ad.check_finite(logits.value, "logits")
         return logits.value
 
@@ -302,7 +250,7 @@ class Model:
         params: dict[str, np.ndarray] | None = None,
     ) -> float:
         pv = self._param_vars(params)
-        logits = self._forward_var(pv, x, False, None)
+        logits = ARCHS[self.spec.arch].forward(self.spec, pv, x, False, None)
         loss = ad.cross_entropy_mean(logits, labels, eps)
         ad.check_finite(loss.value, "loss")
         return float(loss.value)
@@ -319,7 +267,7 @@ class Model:
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Loss plus one gradient tensor per parameter (dense, mask ignored)."""
         pv = self._param_vars(params)
-        logits = self._forward_var(pv, x, train, dropout_rng)
+        logits = ARCHS[self.spec.arch].forward(self.spec, pv, x, train, dropout_rng)
         loss = ad.cross_entropy_mean(logits, labels, eps)
         ad.check_finite(loss.value, "loss")
         ad.backward(loss)
@@ -329,145 +277,196 @@ class Model:
         }
         return float(loss.value), grads
 
-    # -- bookkeeping for diagnostics ----------------------------------------
 
-    def layer_flops(self) -> list[tuple[str, str, int]]:
-        """(layer, weight param name, dense inference FLOPs) per counted layer.
+# -- the architectures ------------------------------------------------------
 
-        Linear layers count 2*m*n per application (times tokens for the
-        transformer); convolutions 2*out*in*kh*kw*H_out*W_out.
-        """
-        s = self.spec
-        out = []
-        if s.arch == MLP:
-            dims = s.layer_dims
-            for i in range(1, len(dims)):
-                out.append((f"fc{i}", f"fc{i}.weight", 2 * dims[i - 1] * dims[i]))
-        elif s.arch == MICRO_CNN:
-            H, W = s.image_hw
-            c1, c2 = s.channels
-            k = s.kernel
-            out.append(("conv1", "conv1.weight", 2 * c1 * s.in_channels * k * k * H * W))
-            h2, w2 = H // 2, W // 2
-            out.append(("conv2", "conv2.weight", 2 * c2 * c1 * k * k * h2 * w2))
-            head_in = c2 * (H // 4) * (W // 4)
-            out.append(("head", "head.weight", 2 * head_in * s.classes))
-        elif s.arch == TINY_TRANSFORMER:
-            d, f, T = s.d_model, s.ff_dim, s.max_len
-            for i in range(1, s.blocks + 1):
-                b = f"block{i}"
-                for lin in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"):
-                    out.append((f"{b}.{lin}", f"{b}.{lin}.weight", 2 * d * d * T))
-                out.append((f"{b}.ff.w1", f"{b}.ff.w1.weight", 2 * d * f * T))
-                out.append((f"{b}.ff.w2", f"{b}.ff.w2.weight", 2 * f * d * T))
-            out.append(("head", "head.weight", 2 * d * s.classes))
+
+def _layer(layer: str, shape: tuple[int, ...], group: str, cls: str, init: str, fan_in: int,
+           uses: int) -> list[ParamDef]:
+    """A weight and its bias, one per output unit (the first dim of a
+    convolution, the last of a linear map). A uniform weight's bias is uniform
+    over the same fan-in; a normal weight's bias starts at zero."""
+    n_out = shape[0] if len(shape) == 4 else shape[-1]
+    return [
+        ParamDef(f"{layer}.weight", shape, cls, group, layer, init, fan_in, uses),
+        ParamDef(f"{layer}.bias", (n_out,), "head-param" if cls == "head-param" else "bias",
+                 group, layer, "uniform" if init == "kaiming" else "zeros", fan_in),
+    ]
+
+
+def _norm(layer: str, d: int, group: str) -> list[ParamDef]:
+    return [
+        ParamDef(f"{layer}.scale", (d,), "norm-param", group, layer, "ones"),
+        ParamDef(f"{layer}.bias", (d,), "norm-param", group, layer, "zeros"),
+    ]
+
+
+def _mlp_params(s: ModelSpec) -> list[ParamDef]:
+    dims = s.layer_dims
+    if len(dims) < 2:
+        raise ConfigError("mlp needs at least input and output dims")
+    n_layers = len(dims) - 1
+    defs = []
+    for i in range(1, n_layers + 1):
+        if i == 1:
+            group = EMBEDDINGS_GROUP
+        elif i == n_layers:
+            group = HEAD_GROUP
         else:
-            raise ConfigError(f"unknown architecture {s.arch!r}")
-        return out
+            group = f"block_{i - 1}"
+        cls = "head-param" if group == HEAD_GROUP else "linear-weight"
+        defs += _layer(f"fc{i}", (dims[i - 1], dims[i]), group, cls, "kaiming", dims[i - 1], 1)
+    return defs
+
+
+def _cnn_params(s: ModelSpec) -> list[ParamDef]:
+    (H, W), (c1, c2), k = s.image_hw, s.channels, s.kernel
+    if H % 4 or W % 4:
+        raise ConfigError("micro-cnn image sides must be divisible by 4")
+    head_in = c2 * (H // 4) * (W // 4)
+    # same-padded convolutions: conv1 runs at full resolution, conv2 after one 2x2 pool
+    return (
+        _layer("conv1", (c1, s.in_channels, k, k), EMBEDDINGS_GROUP, "conv-weight", "kaiming",
+               s.in_channels * k * k, H * W)
+        + _layer("conv2", (c2, c1, k, k), "block_1", "conv-weight", "kaiming", c1 * k * k,
+                 (H // 2) * (W // 2))
+        + _layer("head", (head_in, s.classes), HEAD_GROUP, "head-param", "kaiming", head_in, 1)
+    )
+
+
+def _transformer_params(s: ModelSpec) -> list[ParamDef]:
+    d, f, T = s.d_model, s.ff_dim, s.max_len
+    defs = [
+        ParamDef(f"{emb}.weight", (rows, d), "embedding", EMBEDDINGS_GROUP, emb, "normal")
+        for emb, rows in (("tok_emb", s.vocab), ("pos_emb", T))
+    ]
+    for i in range(1, s.blocks + 1):
+        b, g = f"block{i}", f"block_{i}"
+        defs += _norm(f"{b}.ln1", d, g) + _norm(f"{b}.ln2", d, g)
+        for lin, shape in (
+            ("attn.wq", (d, d)), ("attn.wk", (d, d)), ("attn.wv", (d, d)), ("attn.wo", (d, d)),
+            ("ff.w1", (d, f)), ("ff.w2", (f, d)),
+        ):
+            # FLOPs are counted at the longest sequence
+            defs += _layer(f"{b}.{lin}", shape, g, "linear-weight", "normal", 0, T)
+    return (
+        defs + _norm("final_ln", d, HEAD_GROUP)
+        + _layer("head", (d, s.classes), HEAD_GROUP, "head-param", "normal", 0, 1)
+    )
+
+
+def _forward_mlp(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, train, dropout_rng) -> Var:
+    dims = s.layer_dims
+    x = np.ascontiguousarray(x, dtype=pv["fc1.weight"].value.dtype)
+    if x.ndim != 2 or x.shape[1] != dims[0]:
+        raise ShapeError(f"mlp input {x.shape}, expected (batch, {dims[0]})")
+    h = Var(x)
+    n_layers = len(dims) - 1
+    for i in range(1, n_layers + 1):
+        h = ad.add(ad.matmul(h, pv[f"fc{i}.weight"]), pv[f"fc{i}.bias"])
+        if i < n_layers:
+            h = ad.relu(h)
+    return h
+
+
+def _forward_cnn(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, train, dropout_rng) -> Var:
+    H, W = s.image_hw
+    x = np.ascontiguousarray(x, dtype=pv["conv1.weight"].value.dtype)
+    if x.ndim == 2:
+        if x.shape[1] != s.in_channels * H * W:
+            raise ShapeError(f"cnn input {x.shape}, expected (batch, {s.in_channels * H * W})")
+        x = x.reshape(-1, s.in_channels, H, W)
+    h = Var(x)
+    h = ad.relu(ad.conv2d(h, pv["conv1.weight"], pv["conv1.bias"], pad=1))
+    h = ad.avg_pool2d(h, 2)
+    h = ad.relu(ad.conv2d(h, pv["conv2.weight"], pv["conv2.bias"], pad=1))
+    h = ad.avg_pool2d(h, 2)
+    h = ad.reshape(h, (h.shape[0], -1))
+    return ad.add(ad.matmul(h, pv["head.weight"]), pv["head.bias"])
+
+
+def _forward_transformer(
+    s: ModelSpec, pv: dict[str, Var], ids: np.ndarray, train: bool, dropout_rng: Rng | None
+) -> Var:
+    ids = np.asarray(ids)
+    if ids.ndim != 2 or ids.shape[1] > s.max_len:
+        raise ShapeError(f"token input {ids.shape}, max_len {s.max_len}")
+    T = ids.shape[1]
+    h = ad.add(ad.embedding(pv["tok_emb.weight"], ids), ad.take_rows(pv["pos_emb.weight"], T))
+    inv_sqrt_d = 1.0 / math.sqrt(s.d_model)
+    use_dropout = train and s.dropout > 0.0 and dropout_rng is not None
+    for i in range(1, s.blocks + 1):
+        b = f"block{i}"
+        pre = ad.layer_norm(h, pv[f"{b}.ln1.scale"], pv[f"{b}.ln1.bias"])
+        q = ad.add(ad.matmul(pre, pv[f"{b}.attn.wq.weight"]), pv[f"{b}.attn.wq.bias"])
+        k = ad.add(ad.matmul(pre, pv[f"{b}.attn.wk.weight"]), pv[f"{b}.attn.wk.bias"])
+        v = ad.add(ad.matmul(pre, pv[f"{b}.attn.wv.weight"]), pv[f"{b}.attn.wv.bias"])
+        attn = ad.softmax_last(ad.scale(ad.matmul(q, ad.swap_last2(k)), inv_sqrt_d))
+        ctx = ad.matmul(attn, v)
+        proj = ad.add(ad.matmul(ctx, pv[f"{b}.attn.wo.weight"]), pv[f"{b}.attn.wo.bias"])
+        if use_dropout:
+            proj = ad.dropout(proj, s.dropout, dropout_rng.uniforms(proj.value.size))
+        h = ad.add(h, proj)
+        pre2 = ad.layer_norm(h, pv[f"{b}.ln2.scale"], pv[f"{b}.ln2.bias"])
+        f1 = ad.relu(ad.add(ad.matmul(pre2, pv[f"{b}.ff.w1.weight"]), pv[f"{b}.ff.w1.bias"]))
+        f2 = ad.add(ad.matmul(f1, pv[f"{b}.ff.w2.weight"]), pv[f"{b}.ff.w2.bias"])
+        if use_dropout:
+            f2 = ad.dropout(f2, s.dropout, dropout_rng.uniforms(f2.value.size))
+        h = ad.add(h, f2)
+    h = ad.layer_norm(h, pv["final_ln.scale"], pv["final_ln.bias"])
+    pooled = ad.mean_axis(h, 1)
+    return ad.add(ad.matmul(pooled, pv["head.weight"]), pv["head.bias"])
+
+
+@dataclass(frozen=True)
+class Architecture:
+    params: Callable[[ModelSpec], list[ParamDef]]
+    forward: Callable[..., Var]  # (spec, param vars, input, train, dropout rng) -> logits
+    input_dim: Callable[[ModelSpec], int | None]  # None: token ids
+    dropout: bool
+
+
+ARCHS = {
+    MLP: Architecture(_mlp_params, _forward_mlp, lambda s: s.layer_dims[0], dropout=False),
+    MICRO_CNN: Architecture(
+        _cnn_params, _forward_cnn, lambda s: s.in_channels * s.image_hw[0] * s.image_hw[1],
+        dropout=False,
+    ),
+    TINY_TRANSFORMER: Architecture(
+        _transformer_params, _forward_transformer, lambda s: None, dropout=True
+    ),
+}
 
 
 # -- construction -----------------------------------------------------------
 
 
-def _kaiming_uniform(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / fan_in)
-    n = int(np.prod(shape))
-    return ((rng.uniforms(n) * 2.0 - 1.0) * bound).reshape(shape).astype(np.float32)
-
-
-def _bias_uniform(rng: Rng, n: int, fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return ((rng.uniforms(n) * 2.0 - 1.0) * bound).astype(np.float32)
+def _init(rng: Rng, d: ParamDef, kind: str) -> np.ndarray:
+    if kind == "ones":
+        return np.ones(d.shape, dtype=np.float32)
+    if kind == "zeros":
+        return np.zeros(d.shape, dtype=np.float32)
+    n = math.prod(d.shape)
+    if kind == "normal":
+        return (rng.normals(n) * 0.02).reshape(d.shape).astype(np.float32)
+    bound = math.sqrt(6.0 / d.fan_in) if kind == "kaiming" else 1.0 / math.sqrt(d.fan_in)
+    return ((rng.uniforms(n) * 2.0 - 1.0) * bound).reshape(d.shape).astype(np.float32)
 
 
 def build_model(spec: ModelSpec, rng: Rng) -> Model:
-    store = ParamStore()
-    info: dict[str, ParamInfo] = {}
-
-    def put(name, arr, cls, prunable, group, layer):
-        store.add(name, arr)
-        info[name] = ParamInfo(cls=cls, prunable=prunable, group=group, layer=layer)
-
-    if spec.arch == MLP:
-        dims = spec.layer_dims
-        if len(dims) < 2:
-            raise ConfigError("mlp needs at least input and output dims")
-        n_layers = len(dims) - 1
-        for i in range(1, n_layers + 1):
-            fan_in = dims[i - 1]
-            layer = f"fc{i}"
-            if i == 1:
-                group = EMBEDDINGS_GROUP
-            elif i == n_layers:
-                group = HEAD_GROUP
-            else:
-                group = f"block_{i - 1}"
-            w_cls = "head-param" if group == HEAD_GROUP else "linear-weight"
-            b_cls = "head-param" if group == HEAD_GROUP else "bias"
-            put(f"{layer}.weight", _kaiming_uniform(rng, (dims[i - 1], dims[i]), fan_in),
-                w_cls, True, group, layer)
-            put(f"{layer}.bias", _bias_uniform(rng, dims[i], fan_in), b_cls, False, group, layer)
-    elif spec.arch == MICRO_CNN:
-        c1, c2 = spec.channels
-        k = spec.kernel
-        H, W = spec.image_hw
-        if H % 4 or W % 4:
-            raise ConfigError("micro-cnn image sides must be divisible by 4")
-        fan1 = spec.in_channels * k * k
-        put("conv1.weight", _kaiming_uniform(rng, (c1, spec.in_channels, k, k), fan1),
-            "conv-weight", True, EMBEDDINGS_GROUP, "conv1")
-        put("conv1.bias", _bias_uniform(rng, c1, fan1), "bias", False, EMBEDDINGS_GROUP, "conv1")
-        fan2 = c1 * k * k
-        put("conv2.weight", _kaiming_uniform(rng, (c2, c1, k, k), fan2),
-            "conv-weight", True, "block_1", "conv2")
-        put("conv2.bias", _bias_uniform(rng, c2, fan2), "bias", False, "block_1", "conv2")
-        head_in = c2 * (H // 4) * (W // 4)
-        put("head.weight", _kaiming_uniform(rng, (head_in, spec.classes), head_in),
-            "head-param", True, HEAD_GROUP, "head")
-        put("head.bias", _bias_uniform(rng, spec.classes, head_in),
-            "head-param", False, HEAD_GROUP, "head")
-    elif spec.arch == TINY_TRANSFORMER:
-        d, f = spec.d_model, spec.ff_dim
-
-        def normal(shape):
-            return (rng.normals(int(np.prod(shape))) * 0.02).reshape(shape).astype(np.float32)
-
-        put("tok_emb.weight", normal((spec.vocab, d)), "embedding", False, EMBEDDINGS_GROUP, "tok_emb")
-        put("pos_emb.weight", normal((spec.max_len, d)), "embedding", False, EMBEDDINGS_GROUP, "pos_emb")
-        for i in range(1, spec.blocks + 1):
-            b = f"block{i}"
-            g = f"block_{i}"
-            for ln in ("ln1", "ln2"):
-                put(f"{b}.{ln}.scale", np.ones(d, dtype=np.float32), "norm-param", False, g, f"{b}.{ln}")
-                put(f"{b}.{ln}.bias", np.zeros(d, dtype=np.float32), "norm-param", False, g, f"{b}.{ln}")
-            for lin, (m, n) in (
-                ("attn.wq", (d, d)), ("attn.wk", (d, d)), ("attn.wv", (d, d)), ("attn.wo", (d, d)),
-                ("ff.w1", (d, f)), ("ff.w2", (f, d)),
-            ):
-                put(f"{b}.{lin}.weight", normal((m, n)), "linear-weight", True, g, f"{b}.{lin}")
-                put(f"{b}.{lin}.bias", np.zeros(n, dtype=np.float32), "bias", False, g, f"{b}.{lin}")
-        put("final_ln.scale", np.ones(d, dtype=np.float32), "norm-param", False, HEAD_GROUP, "final_ln")
-        put("final_ln.bias", np.zeros(d, dtype=np.float32), "norm-param", False, HEAD_GROUP, "final_ln")
-        put("head.weight", normal((d, spec.classes)), "head-param", True, HEAD_GROUP, "head")
-        put("head.bias", np.zeros(spec.classes, dtype=np.float32), "head-param", False, HEAD_GROUP, "head")
-    else:
-        raise ConfigError(f"unknown architecture {spec.arch!r}")
-
-    return Model(spec, store, info)
+    model = Model(spec, ParamStore())
+    for d in model.info.values():
+        model.store.add(d.name, _init(rng, d, d.init))
+    return model
 
 
 def reinit_head(model: Model, rng: Rng) -> None:
-    """Freshly initialize the classifier head (used by transfer recipes)."""
-    for name in model.store.names():
-        if model.info[name].group != HEAD_GROUP or model.info[name].cls == "norm-param":
-            continue
-        arr = model.store[name].weights
-        if model.spec.arch == TINY_TRANSFORMER:
-            fresh = (rng.normals(arr.size) * 0.02).reshape(arr.shape).astype(np.float32)
-        elif name.endswith(".weight"):
-            fresh = _kaiming_uniform(rng, arr.shape, arr.shape[0])
-        else:
-            fan_in = model.store[name.replace(".bias", ".weight")].weights.shape[0]
-            fresh = _bias_uniform(rng, arr.size, fan_in)
-        arr[...] = fresh
-        model.store.set_mask(name, None)
+    """Freshly initialize the classifier head (used by transfer recipes).
+
+    A head parameter that starts at zero (the tiny transformer's bias) is
+    redrawn from the normal init, like its weight."""
+    for d in model.info.values():
+        if d.cls == "head-param":
+            kind = "normal" if d.init == "zeros" else d.init
+            model.store[d.name].weights[...] = _init(rng, d, kind)
+            model.store.set_mask(d.name, None)

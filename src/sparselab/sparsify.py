@@ -48,32 +48,21 @@ def _floor_count(x: float) -> int:
     return int(math.floor(x + 1e-9 + abs(x) * 1e-12))
 
 
-def _top_keep_mask(scores: np.ndarray, kept: int) -> np.ndarray:
-    """Boolean keep flags for the `kept` largest scores, low index wins ties."""
-    order = np.lexsort((np.arange(scores.size), -scores))
+def _keep_top(scores: np.ndarray, active: np.ndarray, kept: int) -> np.ndarray:
+    """Boolean keep flags for the `kept` largest scores among the active
+    entries (all of them when fewer), low index wins ties."""
+    order = np.lexsort((np.arange(scores.size), -np.where(active, scores, -np.inf)))
     keep = np.zeros(scores.size, dtype=bool)
-    keep[order[:kept]] = True
-    return keep
+    keep[order[: min(kept, int(active.sum()))]] = True
+    return keep & active
 
 
-def _layer_keep(weights: np.ndarray, kept: int) -> np.ndarray:
-    flat = np.abs(weights.reshape(-1).astype(np.float64))
-    return _top_keep_mask(flat, kept).reshape(weights.shape)
-
-
-def _block_scores(weights: np.ndarray) -> np.ndarray:
-    """L1 norm of contiguous groups of 4 in row-major order (last may be short)."""
-    flat = np.abs(weights.reshape(-1).astype(np.float64))
-    n_groups = (flat.size + BLOCK - 1) // BLOCK
-    padded = np.zeros(n_groups * BLOCK)
+def _blocks(flat: np.ndarray) -> np.ndarray:
+    """Contiguous groups of 4 in row-major order, one per row; the last group
+    is padded with zeros (False for flags)."""
+    padded = np.zeros((flat.size + BLOCK - 1) // BLOCK * BLOCK, dtype=flat.dtype)
     padded[: flat.size] = flat
-    return padded.reshape(n_groups, BLOCK).sum(axis=1)
-
-
-def _expand_block_keep(keep_groups: np.ndarray, shape: tuple) -> np.ndarray:
-    n = int(np.prod(shape))
-    flat = np.repeat(keep_groups, BLOCK)[:n]
-    return flat.reshape(shape)
+    return padded.reshape(-1, BLOCK)
 
 
 def erk_densities(layer_shapes: dict[str, tuple], s_global: float) -> dict[str, float]:
@@ -109,17 +98,18 @@ def erk_densities(layer_shapes: dict[str, tuple], s_global: float) -> dict[str, 
     return densities
 
 
-def _pool_kept_counts(
+def _pools(
     weights: dict[str, np.ndarray], dist: SparsityDistribution
-) -> dict[str, int] | int:
-    """Kept count per layer pool, or one count for a global pool."""
+) -> list[tuple[list[str], int]]:
+    """Scoring pools as (layer names, kept count): one pool per layer, or one
+    global pool (counted in groups of 4 for block4-global)."""
     s = dist.target
     if dist.kind == GLOBAL:
         total = sum(w.size for w in weights.values())
-        return _floor_count((1.0 - s) * total)
+        return [(list(weights), _floor_count((1.0 - s) * total))]
     if dist.kind == BLOCK4_GLOBAL:
         total_groups = sum((w.size + BLOCK - 1) // BLOCK for w in weights.values())
-        return _floor_count((1.0 - s) * total_groups)
+        return [(list(weights), _floor_count((1.0 - s) * total_groups))]
     if dist.kind == UNIFORM:
         counts = {n: _floor_count((1.0 - s) * w.size) for n, w in weights.items()}
     elif dist.kind == ERK:
@@ -130,7 +120,42 @@ def _pool_kept_counts(
     for n, kept in counts.items():
         if kept == 0 and s < 1.0:
             raise LayerCollapseError(f"target {s} would zero out layer {n}")
-    return counts
+    return [([n], kept) for n, kept in counts.items()]
+
+
+def _select(
+    weights: dict[str, np.ndarray],
+    dist: SparsityDistribution,
+    masks: dict[str, np.ndarray] | None = None,
+) -> dict[str, np.ndarray]:
+    """f32 0/1 masks for the layers `dist` scores, keeping per scoring pool its
+    kept count of the largest |w| among the entries active in `masks` (every
+    entry when None); an inactive entry is never kept. block4-global scores
+    groups of 4 by L1 norm and keeps or drops them whole; a group is active
+    when any of its entries is."""
+    pooled = {n: w for n, w in weights.items() if n not in dist.keep_dense}
+    if not pooled:
+        return {}
+    pools = _pools(pooled, dist)
+    scores = {n: np.abs(w.reshape(-1).astype(np.float64)) for n, w in pooled.items()}
+    active = {
+        n: np.ones(w.size, dtype=bool) if masks is None else masks[n].reshape(-1) != 0.0
+        for n, w in pooled.items()
+    }
+    unit = BLOCK if dist.kind == BLOCK4_GLOBAL else 1
+    if unit == BLOCK:
+        scores = {n: _blocks(sc).sum(axis=1) for n, sc in scores.items()}
+        active = {n: _blocks(a).any(axis=1) for n, a in active.items()}
+    out = {}
+    for names, kept in pools:
+        keep = _keep_top(np.concatenate([scores[n] for n in names]),
+                         np.concatenate([active[n] for n in names]), kept)
+        ofs = 0
+        for n in names:
+            flags = np.repeat(keep[ofs : ofs + scores[n].size], unit)[: pooled[n].size]
+            out[n] = flags.reshape(pooled[n].shape).astype(np.float32)
+            ofs += scores[n].size
+    return out
 
 
 def magnitude_mask(
@@ -139,39 +164,10 @@ def magnitude_mask(
     """f32 0/1 masks keeping the top (1-s) fraction by |w| per scoring pool."""
     if not 0.0 <= dist.target < 1.0:
         raise ScheduleError(f"sparsity target {dist.target} outside [0, 1)")
-    masks: dict[str, np.ndarray] = {}
-    pooled = {n: w for n, w in weights.items() if n not in dist.keep_dense}
-    for n in weights:
-        if n in dist.keep_dense:
-            masks[n] = np.ones(weights[n].shape, dtype=np.float32)
-    if not pooled:
-        return masks
-
-    kept = _pool_kept_counts(pooled, dist)
-    if dist.kind in (UNIFORM, ERK):
-        for n, w in pooled.items():
-            masks[n] = _layer_keep(w, kept[n]).astype(np.float32)
-    elif dist.kind == GLOBAL:
-        names = list(pooled)
-        scores = np.concatenate(
-            [np.abs(pooled[n].reshape(-1).astype(np.float64)) for n in names]
-        )
-        keep = _top_keep_mask(scores, kept)
-        ofs = 0
-        for n in names:
-            size = pooled[n].size
-            masks[n] = keep[ofs : ofs + size].reshape(pooled[n].shape).astype(np.float32)
-            ofs += size
-    else:  # block4-global
-        names = list(pooled)
-        group_scores = [_block_scores(pooled[n]) for n in names]
-        keep = _top_keep_mask(np.concatenate(group_scores), kept)
-        ofs = 0
-        for n, gs in zip(names, group_scores):
-            masks[n] = _expand_block_keep(keep[ofs : ofs + gs.size], pooled[n].shape).astype(
-                np.float32
-            )
-            ofs += gs.size
+    masks = {
+        n: np.ones(w.shape, dtype=np.float32) for n, w in weights.items() if n in dist.keep_dense
+    }
+    masks.update(_select(weights, dist))
     return masks
 
 
@@ -183,49 +179,8 @@ def shrink_mask(
     """Tighten existing masks to `dist.target`, dropping only inside the
     current support so that supports stay nested over time (GMP rule:
     pruned weights never return)."""
-    pooled = {n: w for n, w in weights.items() if n not in dist.keep_dense}
     out = {n: m.copy() for n, m in masks.items()}
-    if not pooled:
-        return out
-    kept = _pool_kept_counts(pooled, dist)
-
-    def tighten(scores: np.ndarray, active: np.ndarray, want: int) -> np.ndarray:
-        want = min(want, int(active.sum()))
-        masked_scores = np.where(active, scores, -np.inf)
-        return _top_keep_mask(masked_scores, want) & active
-
-    if dist.kind in (UNIFORM, ERK):
-        for n, w in pooled.items():
-            flat = np.abs(w.reshape(-1).astype(np.float64))
-            active = masks[n].reshape(-1) != 0.0
-            out[n] = (tighten(flat, active, kept[n])).reshape(w.shape).astype(np.float32)
-    elif dist.kind == GLOBAL:
-        names = list(pooled)
-        scores = np.concatenate([np.abs(pooled[n].reshape(-1).astype(np.float64)) for n in names])
-        active = np.concatenate([masks[n].reshape(-1) != 0.0 for n in names])
-        keep = tighten(scores, active, kept)
-        ofs = 0
-        for n in names:
-            size = pooled[n].size
-            out[n] = keep[ofs : ofs + size].reshape(pooled[n].shape).astype(np.float32)
-            ofs += size
-    else:  # block4-global: drop whole groups inside the active group set
-        names = list(pooled)
-        group_scores = [_block_scores(pooled[n]) for n in names]
-        group_active = []
-        for n in names:
-            flat = masks[n].reshape(-1) != 0.0
-            n_groups = (flat.size + BLOCK - 1) // BLOCK
-            padded = np.zeros(n_groups * BLOCK, dtype=bool)
-            padded[: flat.size] = flat
-            group_active.append(padded.reshape(n_groups, BLOCK).any(axis=1))
-        keep = tighten(np.concatenate(group_scores), np.concatenate(group_active), kept)
-        ofs = 0
-        for n, gs in zip(names, group_scores):
-            out[n] = _expand_block_keep(keep[ofs : ofs + gs.size], pooled[n].shape).astype(
-                np.float32
-            )
-            ofs += gs.size
+    out.update(_select(weights, dist, masks))
     return out
 
 

@@ -21,14 +21,11 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, MaskMutationError
-from .models import Model, reinit_head
+from .models import EMBEDDINGS_GROUP, HEAD_GROUP, Model, reinit_head
 from .optim import LrSchedule, SgdState, lr_at
 from .rng import Rng, STREAM_HEAD_INIT, STREAM_SHUFFLE, STREAM_DROPOUT
 from .runner import predict_logits, train_epochs
 from . import diagnostics
-
-EMBEDDINGS = "embeddings"
-HEAD = "head"
 
 _ALWAYS_TRAINABLE = ("head-param", "bias", "norm-param")
 _BLOCK_WEIGHTS = ("linear-weight", "conv-weight")
@@ -46,19 +43,12 @@ class LayerGroups:
 
 
 def layer_groups(model: Model) -> LayerGroups:
-    members: dict[str, list[str]] = {}
-    classes: dict[str, str] = {}
-    for name in model.store.names():
-        info = model.info[name]
-        members.setdefault(info.group, []).append(name)
-        classes[name] = info.cls
-    blocks = sorted(
-        (g for g in members if g.startswith("block_")), key=lambda g: int(g.split("_")[1])
-    )
-    order = [EMBEDDINGS] + blocks + [HEAD]
-    for g in order:
-        members.setdefault(g, [])
-    return LayerGroups(order=order, members=members, classes=classes)
+    members: dict[str, list[str]] = {EMBEDDINGS_GROUP: []}
+    for d in model.info.values():  # the table lists groups front to back
+        members.setdefault(d.group, []).append(d.name)
+    members.setdefault(HEAD_GROUP, [])
+    classes = {n: d.cls for n, d in model.info.items()}
+    return LayerGroups(order=list(members), members=members, classes=classes)
 
 
 def trainable_set(groups: LayerGroups, stage: int) -> set[str]:
@@ -78,16 +68,18 @@ def trainable_set(groups: LayerGroups, stage: int) -> set[str]:
     }
 
 
+MOMENTUM = 0.9
+WEIGHT_DECAY = 0.0
+LABEL_SMOOTHING = 0.0
+PATIENCE = 2  # evaluations without a new best top-1 before an early stop
+
+
 @dataclass
 class TransferHyper:
     lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
     batch_size: int = 32
     epochs_per_stage: int = 1
-    label_smoothing: float = 0.0
     early_stop: bool = True
-    patience: int = 2
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs_per_stage < 1:
@@ -125,18 +117,17 @@ def _set_trainable(model: Model, names: set[str]) -> None:
 
 
 def _finetune(
-    model: Model, data: Dataset, hyper: TransferHyper, rng: Rng, fresh_head: bool,
+    model: Model, data: Dataset, hyper: TransferHyper, rng: Rng,
     stages: list[tuple[str, set[str], int]], eval_every_epoch: bool = False,
 ) -> TransferResult:
-    """Train `stages` of (label, trainable names, epochs) in order, masks fixed.
+    """Train `stages` of (label, trainable names, epochs) on a fresh head, masks fixed.
 
     Each stage starts a fresh SGD state on a linear decay from the peak
     learning rate. The model is evaluated at the end of each stage, or after
     every epoch when `eval_every_epoch`; each evaluation is one `StageRecord`
     and counts towards early stopping.
     """
-    if fresh_head:
-        reinit_head(model, rng.stream(STREAM_HEAD_INIT))
+    reinit_head(model, rng.stream(STREAM_HEAD_INIT))
     mask_snapshot = {n: m.copy() for n, m in model.store.masks().items()}
     shuffle_rng = rng.stream(STREAM_SHUFFLE)
     dropout_rng = rng.stream(STREAM_DROPOUT)
@@ -146,10 +137,10 @@ def _finetune(
         for label, names, epochs in stages:
             _set_trainable(model, names)
             schedule = LrSchedule(peak=hyper.lr, total_steps=epochs * steps_per_epoch)
-            sgd = SgdState(model.store, schedule, hyper.momentum, hyper.weight_decay)
+            sgd = SgdState(model.store, schedule, MOMENTUM, WEIGHT_DECAY)
             span_start = 0
             for epoch, step, _ in train_epochs(
-                model, data, sgd, epochs, hyper.batch_size, hyper.label_smoothing,
+                model, data, sgd, epochs, hyper.batch_size, LABEL_SMOOTHING,
                 shuffle_rng, dropout_rng,
             ):
                 if eval_every_epoch or epoch + 1 == epochs:
@@ -179,7 +170,7 @@ def _finetune(
             best_top1, since_improve = top1, 0
         else:
             since_improve += 1
-            if hyper.early_stop and since_improve >= hyper.patience:
+            if hyper.early_stop and since_improve >= PATIENCE:
                 break
     _set_trainable(model, set(model.store.names()))
     return TransferResult(
@@ -189,13 +180,7 @@ def _finetune(
     )
 
 
-def transfer_run(
-    model: Model,
-    data: Dataset,
-    hyper: TransferHyper,
-    rng: Rng,
-    fresh_head: bool = True,
-) -> TransferResult:
+def transfer_run(model: Model, data: Dataset, hyper: TransferHyper, rng: Rng) -> TransferResult:
     """Gradual back-to-front unfreezing with per-stage LR rewind."""
     groups = layer_groups(model)
     B = groups.n_blocks
@@ -203,7 +188,7 @@ def transfer_run(
     stages = [
         (label, trainable_set(groups, k), hyper.epochs_per_stage) for k, label in enumerate(labels)
     ]
-    return _finetune(model, data, hyper, rng, fresh_head, stages)
+    return _finetune(model, data, hyper, rng, stages)
 
 
 DENSE_RECIPE_EPOCHS = 3
@@ -217,22 +202,21 @@ def baseline_recipes(
     mode: str = "dense-recipe",
     epochs: int | None = None,
     finetune: str = "full",
-    fresh_head: bool = True,
 ) -> TransferResult:
     """Dense-recipe baseline (3 epochs, full finetune), rescaled(E) variants,
     and linear (head-only) finetuning, evaluated after every epoch."""
     if mode == "dense-recipe":
         epochs = DENSE_RECIPE_EPOCHS
     elif mode == "rescaled":
-        if not epochs or epochs < 1:
-            raise ConfigError("rescaled mode needs an explicit epoch count")
+        if epochs is None or epochs < 1:
+            raise ConfigError("rescaled mode needs a positive epoch count")
     else:
         raise ConfigError(f"unknown baseline mode {mode!r}")
     if finetune == "linear":
-        names = {n for n, c in layer_groups(model).classes.items() if c == "head-param"}
+        names = {n for n, d in model.info.items() if d.cls == "head-param"}
     elif finetune == "full":
         names = set(model.store.names())
     else:
         raise ConfigError(f"unknown finetune variant {finetune!r}")
     stages = [(f"{mode}-{finetune}", names, epochs)]
-    return _finetune(model, data, hyper, rng, fresh_head, stages, eval_every_epoch=True)
+    return _finetune(model, data, hyper, rng, stages, eval_every_epoch=True)

@@ -62,7 +62,7 @@ def test_criterion_1_gradient_correctness():
     for spec, h in cases:
         model = build_model(spec, Rng(11))
         assert model.store.num_params() <= 500
-        if model.input_kind == "tokens":
+        if model.input_dim is None:
             x = np.array([[0, 1, 2], [3, 2, 1], [1, 1, 0], [2, 0, 3]])
             y = np.array([0, 1, 1, 0])
         else:

@@ -1,16 +1,20 @@
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from sparselab.checkpoint import (
     MAGIC,
+    VERSION,
     load_checkpoint,
     rebuild_model,
     save_checkpoint,
 )
+from sparselab.cli import main
 from sparselab.errors import CheckpointError
-from sparselab.models import build_model, mlp_spec
+from sparselab.models import build_model, micro_cnn_spec, mlp_spec, tiny_transformer_spec
 from sparselab.rng import Rng
 from sparselab.sparsify import SparsityDistribution, magnitude_mask
 
@@ -96,6 +100,74 @@ def test_rebuild_model_restores_masks(tmp_path):
         assert (lm is None) == (em is None)
         if em is not None:
             assert np.array_equal(lm, em)
+
+
+@pytest.mark.parametrize("spec", [
+    mlp_spec((12, 8, 4)),
+    micro_cnn_spec(1, (8, 8), (2, 3), 4),
+    tiny_transformer_spec(vocab=4, max_len=3, d_model=4, ff_dim=6, blocks=2, classes=2),
+], ids=lambda spec: spec.arch)
+def test_rebuild_model_draws_nothing(tmp_path, monkeypatch, spec):
+    model = build_model(spec, Rng(3))
+    path = str(tmp_path / "a.splb")
+    save_checkpoint(path, model.store, {"epoch": 0, "model_spec": spec.to_dict()})
+    ck = load_checkpoint(path)
+
+    def no_draw(self, n):
+        raise AssertionError("rebuild_model drew random numbers")
+
+    monkeypatch.setattr(Rng, "uniforms", no_draw)
+    monkeypatch.setattr(Rng, "normals", no_draw)
+    rebuilt = rebuild_model(ck)
+    assert rebuilt.store.names() == model.store.names()
+    for name, entry in model.store.items():
+        assert rebuilt.store[name].weights.tobytes() == entry.weights.tobytes()
+
+
+def test_rebuilt_models_share_no_array(tmp_path):
+    """The transfer grid rebuilds one loaded checkpoint per run; a shared
+    array would let one run train on another's weights or masks."""
+    model = sparse_model(seed=5)
+    path = str(tmp_path / "a.splb")
+    save_checkpoint(path, model.store, {"epoch": 0, "model_spec": model.spec.to_dict()})
+    ck = load_checkpoint(path)
+    a, b = rebuild_model(ck), rebuild_model(ck)
+    assert a.store.masks()
+
+    def arrays(m):
+        return [e.weights for _, e in m.store.items()] + list(m.store.masks().values())
+
+    for x in arrays(a):
+        for y in arrays(b) + list(ck.tensors.values()):
+            assert not np.shares_memory(x, y)
+
+
+def _raw_checkpoint(path, header, payload=b""):
+    blob = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(blob)) + blob + payload)
+
+
+def _record(shape, offset):
+    return {"name": "w", "kind": "weights", "shape": shape, "offset": offset}
+
+
+@pytest.mark.parametrize("header", [
+    {"meta": {}},
+    {"tensors": []},
+    [],
+    {"tensors": [_record([2], -4)], "meta": {}},
+    {"tensors": [_record([-1, 2], 0)], "meta": {}},
+], ids=["no-tensors", "no-meta", "list-header", "negative-offset", "negative-shape"])
+def test_malformed_header_is_checkpoint_error(tmp_path, capsys, header):
+    """Each ends in CheckpointError, and the CLI exits 1 with one error line."""
+    path = str(tmp_path / "bad.splb")
+    _raw_checkpoint(path, header, payload=b"\x00" * 16)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    assert main(["flops", "--checkpoint", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

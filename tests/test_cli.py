@@ -203,6 +203,7 @@ TINY_TRANSFORMER = {
     ("transfer", ["--n-val", "0"]),
     ("transfer", ["--n-train", "0"]),
     ("transfer", ["--epochs-per-stage", "0"]),
+    ("transfer", ["--mode", "rescaled", "--epochs", "0"]),
 ])
 def test_malformed_loop_inputs_exit_2(tmp_path, capsys, command, bad):
     """Inputs that would leave the training loop with no batch, no data or

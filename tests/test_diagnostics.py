@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparselab import diagnostics as dg
 from sparselab.errors import DataError, ShapeError
-from sparselab.models import build_model, micro_cnn_spec, mlp_spec
+from sparselab.models import build_model, micro_cnn_spec, mlp_spec, tiny_transformer_spec
 from sparselab.rng import Rng
 
 
@@ -220,6 +220,19 @@ def test_flops_cnn_formula():
     conv2 = 2 * 3 * 2 * 9 * 4 * 4
     head = 2 * (3 * 4) * 4
     assert dense == conv1 + conv2 + head
+
+
+def test_flops_transformer_per_layer_closed_form():
+    """Each projection runs once per token at the longest sequence T; the
+    head runs once on the pooled vector."""
+    d, f, T, classes = 8, 12, 5, 3
+    spec = tiny_transformer_spec(vocab=4, max_len=T, d_model=d, ff_dim=f, blocks=2, classes=classes)
+    want = []
+    for b in (1, 2):
+        want += [(f"block{b}.attn.w{x}", 2 * d * d * T, 1.0) for x in "qkvo"]
+        want += [(f"block{b}.ff.w1", 2 * d * f * T, 1.0), (f"block{b}.ff.w2", 2 * d * f * T, 1.0)]
+    want.append(("head", 2 * d * classes, 1.0))
+    assert dg.flops_by_layer(build_model(spec, Rng(0))) == want
 
 
 # -- AIE --------------------------------------------------------------------------

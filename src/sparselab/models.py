@@ -286,7 +286,7 @@ def _layer(layer: str, shape: tuple[int, ...], group: str, cls: str, init: str, 
     """A weight and its bias, one per output unit (the first dim of a
     convolution, the last of a linear map). A uniform weight's bias is uniform
     over the same fan-in; a normal weight's bias starts at zero."""
-    n_out = shape[0] if len(shape) == 4 else shape[-1]
+    n_out = shape[0] if cls == "conv-weight" else shape[-1]
     return [
         ParamDef(f"{layer}.weight", shape, cls, group, layer, init, fan_in, uses),
         ParamDef(f"{layer}.bias", (n_out,), "head-param" if cls == "head-param" else "bias",

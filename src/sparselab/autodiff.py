@@ -226,27 +226,35 @@ def conv2d(x: Var, w: Var, b: Var, pad: int = 1) -> Var:
     def back(g):
         g2 = g.reshape(B, O, ho * wo)
         gw = np.einsum("bol,bkl->ok", g2, cols).reshape(wv.shape)
-        gcols = np.matmul(w2.T, g2).reshape(B, C, kh, kw, ho, wo)
-        gxp = np.zeros_like(xp)
+        # col2im in a (hp, wp, B*C) buffer, so each += runs over a contiguous
+        # innermost axis; every element still sums its terms in (ki, kj) order
+        gcols = np.matmul(w2.T, g2).reshape(B * C, kh, kw, ho, wo).transpose(1, 2, 3, 4, 0)
+        gxp = np.zeros((hp, wp, B * C), dtype=xp.dtype)
         for ki in range(kh):
             for kj in range(kw):
-                gxp[:, :, ki : ki + ho, kj : kj + wo] += gcols[:, :, ki, kj]
-        gx = gxp[:, :, pad : pad + H, pad : pad + W] if pad else gxp
+                gxp[ki : ki + ho, kj : kj + wo] += gcols[ki, kj]
+        gx = gxp[pad : pad + H, pad : pad + W].transpose(2, 0, 1).reshape(B, C, H, W)
         return gx, gw, g.sum(axis=(0, 2, 3))
 
     return Var(out, (x, w, b), back)
 
 
-def avg_pool2d(x: Var, k: int = 2) -> Var:
+def avg_pool2d(x: Var) -> Var:
+    """2x2 average pooling with stride 2.
+
+    The four taps are summed as (v00 + v01) + (v10 + v11), the order in which
+    `mean` over the two window axes sums them, so outputs match it bit for bit.
+    """
     B, C, H, W = x.value.shape
-    if H % k or W % k:
-        raise ShapeError(f"avg_pool2d: {H}x{W} not divisible by {k}")
-    v = x.value.reshape(B, C, H // k, k, W // k, k)
-    out = v.mean(axis=(3, 5))
+    if H % 2 or W % 2:
+        raise ShapeError(f"avg_pool2d: {H}x{W} not divisible by 2")
+    v = x.value.reshape(B, C, H // 2, 2, W // 2, 2)
+    out = ((v[..., 0, :, 0] + v[..., 0, :, 1]) + (v[..., 1, :, 0] + v[..., 1, :, 1])) / 4
 
     def back(g):
-        gx = np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k)
-        return (gx.astype(x.value.dtype),)
+        # repeating the quarter-size g / 4 is faster here than one broadcast copy
+        gx = np.repeat(np.repeat(g / 4, 2, axis=3), 2, axis=2)
+        return (gx.astype(x.value.dtype, copy=False),)
 
     return Var(out, (x,), back)
 

@@ -378,9 +378,9 @@ def _forward_cnn(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, train, dropout
         x = x.reshape(-1, s.in_channels, H, W)
     h = Var(x)
     h = ad.relu(ad.conv2d(h, pv["conv1.weight"], pv["conv1.bias"], pad=1))
-    h = ad.avg_pool2d(h, 2)
+    h = ad.avg_pool2d(h)
     h = ad.relu(ad.conv2d(h, pv["conv2.weight"], pv["conv2.bias"], pad=1))
-    h = ad.avg_pool2d(h, 2)
+    h = ad.avg_pool2d(h)
     h = ad.reshape(h, (h.shape[0], -1))
     return ad.add(ad.matmul(h, pv["head.weight"]), pv["head.bias"])
 

@@ -91,8 +91,63 @@ def test_embedding_scatter():
     check_op(lambda t: ad.embedding(t, ids), [(4, 3)])
 
 
-def test_conv2d_grads():
-    check_op(lambda x, w, b: ad.conv2d(x, w, b, pad=1), [(2, 2, 5, 5), (3, 2, 3, 3), (3,)], tol=1e-5)
+@pytest.mark.parametrize("x_shape,w_shape,pad", [
+    ((2, 2, 5, 5), (3, 2, 3, 3), 1),
+    ((2, 2, 5, 5), (3, 2, 3, 3), 0),
+    ((2, 2, 4, 6), (3, 2, 3, 3), 1),
+    ((2, 1, 5, 4), (2, 1, 3, 3), 1),
+    ((2, 3, 4, 4), (1, 3, 3, 3), 1),
+    ((2, 2, 3, 4), (3, 2, 1, 1), 0),
+    ((1, 2, 6, 5), (2, 2, 5, 5), 2),
+], ids=["pad1", "pad0", "h-ne-w", "c1", "o1", "k1x1", "k5x5"])
+def test_conv2d_grads(x_shape, w_shape, pad):
+    shapes = [x_shape, w_shape, (w_shape[0],)]
+    check_op(lambda x, w, b: ad.conv2d(x, w, b, pad=pad), shapes, tol=1e-5)
+
+
+def conv2d_reference_grads(xv, wv, g, pad):
+    """Input and weight gradients of a stride-1 conv by im2col from slices:
+    an einsum weight gradient and a col2im that scatters into the padded
+    (B, C, hp, wp) map, adding the (ki, kj) taps in row-major order."""
+    B, C, H, W = xv.shape
+    O, _, kh, kw = wv.shape
+    xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    taps = [xp[:, :, ki : ki + ho, kj : kj + wo] for ki in range(kh) for kj in range(kw)]
+    cols = np.stack(taps, axis=2).reshape(B, C * kh * kw, ho * wo)
+    g2 = g.reshape(B, O, ho * wo)
+    gw = np.einsum("bol,bkl->ok", g2, cols).reshape(wv.shape)
+    gcols = np.matmul(wv.reshape(O, -1).T, g2).reshape(B, C, kh, kw, ho, wo)
+    gxp = np.zeros_like(xp)
+    for ki in range(kh):
+        for kj in range(kw):
+            gxp[:, :, ki : ki + ho, kj : kj + wo] += gcols[:, :, ki, kj]
+    return gxp[:, :, pad : pad + H, pad : pad + W], gw, np.abs(g2), np.abs(cols)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,pad", [
+    ((32, 1, 8, 8), (16, 1, 3, 3), 1),
+    ((32, 16, 4, 4), (32, 16, 3, 3), 1),
+    ((3, 2, 5, 7), (4, 2, 5, 3), 0),
+])
+def test_conv2d_backward_matches_reference_in_f32(x_shape, w_shape, pad):
+    """The input gradient sums the same f32 terms in the same order as the
+    reference, so it is bit-identical. The weight gradient may sum in another
+    order than the einsum; each entry sums n = B*ho*wo products, so both lie
+    within n * eps * sum|terms| of the exact value."""
+    rng = Rng(11)
+    x, w = (rng.normals(int(np.prod(s))).reshape(s).astype(np.float32) for s in (x_shape, w_shape))
+    b = np.zeros(w_shape[0], dtype=np.float32)
+    out = ad.conv2d(Var(x), Var(w), Var(b), pad=pad)
+    g = rng.normals(out.value.size).reshape(out.shape).astype(np.float32)
+    gx, gw, gb = out._backprop(g)
+    ref_gx, ref_gw, abs_g2, abs_cols = conv2d_reference_grads(x, w, g, pad)
+    assert gx.dtype == gw.dtype == np.float32
+    assert gx.shape == x.shape and gx.tobytes() == ref_gx.tobytes()
+    n = abs_g2.shape[0] * abs_g2.shape[2]
+    bound = 2 * n * np.finfo(np.float32).eps * np.einsum("bol,bkl->ok", abs_g2, abs_cols)
+    assert np.all(np.abs(gw - ref_gw) <= bound.reshape(w.shape))
+    assert np.array_equal(gb, g.sum(axis=(0, 2, 3)))
 
 
 def test_conv2d_shape_error():
@@ -101,12 +156,32 @@ def test_conv2d_shape_error():
 
 
 def test_avg_pool():
-    check_op(lambda x: ad.avg_pool2d(x, 2), [(2, 3, 4, 4)])
+    check_op(lambda x: ad.avg_pool2d(x), [(2, 3, 4, 4)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_avg_pool_matches_mean_bit_for_bit(dtype):
+    """The pool's explicit sum of four taps equals `mean` over the window
+    axes bit for bit, at every magnitude and on every special value."""
+    rng = Rng(12)
+    shape = (4, 3, 8, 6)
+    n = int(np.prod(shape))
+    exponents = np.floor(rng.uniforms(n) * 76.0 - 40.0)
+    x = (rng.normals(n) * 10.0**exponents).astype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, tiny, -3 * tiny, 7 * tiny], dtype)
+    picks = np.floor(rng.uniforms(n // 4) * n).astype(np.int64)
+    x[picks] = specials[np.arange(picks.size) % specials.size]
+    x = x.reshape(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = x.reshape(4, 3, 4, 2, 3, 2).mean(axis=(3, 5))
+        got = ad.avg_pool2d(Var(x)).value
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 def test_avg_pool_shape_error():
     with pytest.raises(ShapeError):
-        ad.avg_pool2d(Var(np.zeros((1, 1, 5, 4))), 2)
+        ad.avg_pool2d(Var(np.zeros((1, 1, 5, 4))))
 
 
 def test_cross_entropy_mean_matches_numeric():

@@ -39,8 +39,8 @@ def test_outputs_match_golden_digests(golden, tmp_path):
 def test_single_blas_thread_matches_golden_digests(golden):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, golden_digests.__file__, "--print", "acdc"],
+        [sys.executable, golden_digests.__file__, "--print", "acdc", "cnn"],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    _assert_same(got, {k: v for k, v in golden.items() if k.split("/")[0] == "acdc"})
+    _assert_same(got, {k: v for k, v in golden.items() if k.split("/")[0] in ("acdc", "cnn")})

@@ -225,7 +225,10 @@ def conv2d(x: Var, w: Var, b: Var, pad: int = 1) -> Var:
 
     def back(g):
         g2 = g.reshape(B, O, ho * wo)
-        gw = np.einsum("bol,bkl->ok", g2, cols).reshape(wv.shape)
+        # one small GEMM per sample, then a sum over the batch: a single GEMM over
+        # B*ho*wo is large enough for OpenBLAS to split across threads, and on a
+        # shared 2-core machine that hand-off sometimes costs ~2 ms a call
+        gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wv.shape)
         # col2im in a (hp, wp, B*C) buffer, so each += runs over a contiguous
         # innermost axis; every element still sums its terms in (ki, kj) order
         gcols = np.matmul(w2.T, g2).reshape(B * C, kh, kw, ho, wo).transpose(1, 2, 3, 4, 0)

@@ -77,18 +77,6 @@ def add(a: Var, b: Var) -> Var:
     return Var(out, (a, b), back)
 
 
-def mul(a: Var, b: Var) -> Var:
-    out = a.value * b.value
-
-    def back(g):
-        return (
-            _unbroadcast(g * b.value, a.value.shape),
-            _unbroadcast(g * a.value, b.value.shape),
-        )
-
-    return Var(out, (a, b), back)
-
-
 def scale(a: Var, c: float) -> Var:
     c = a.value.dtype.type(c)
     return Var(a.value * c, (a,), lambda g: (g * c,))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .models import Model, ModelSpec, ParamStore
 
 MAGIC = b"SPLB"
@@ -129,9 +129,14 @@ def rebuild_model(ck: Checkpoint) -> Model:
     Draws nothing: the architecture's parameter table gives the order and
     shapes, and every tensor is copied, so models rebuilt from one
     checkpoint share no array."""
-    if "model_spec" not in ck.meta:
-        raise CheckpointError("checkpoint metadata carries no model spec")
-    model = Model(ModelSpec.from_dict(ck.meta["model_spec"]), ParamStore())
+    spec = ck.meta.get("model_spec")
+    if not isinstance(spec, dict):
+        raise CheckpointError("checkpoint metadata carries no model spec object")
+    try:
+        spec = ModelSpec.from_dict(spec)
+    except (TypeError, ValueError, ConfigError) as e:
+        raise CheckpointError(f"checkpoint model spec is malformed: {e}") from e
+    model = Model(spec, ParamStore())
     weights, masks = ck.weights(), ck.masks()
     if set(weights) != set(model.info) or not set(masks) <= set(weights):
         raise CheckpointError("checkpoint parameters do not match the model spec")

@@ -16,10 +16,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagnostics
-from .checkpoint import load_checkpoint, rebuild_model
+from .checkpoint import Checkpoint, load_checkpoint, rebuild_model
 from .config import ExperimentConfig, format_sig9
 from .data import DatasetSpec, build_dataset
-from .errors import ConfigError, SparselabError
+from .errors import CheckpointError, ConfigError, SparselabError
 from .landscape import PathSpec, interpolate_path, sharpness
 from .models import Model, build_model
 from .rng import Rng, STREAM_DATA, STREAM_INIT, STREAM_SHARPNESS
@@ -27,10 +27,18 @@ from .runner import dataset_loss, run_experiment, run_sweep, _atomic_write
 from .transfer import TransferHyper, baseline_recipes, transfer_run
 
 
+def _meta(ck: Checkpoint, path: str, key: str, kind: type):
+    """A run-metadata field of a checkpoint; one saved outside `train` may lack it."""
+    value = ck.meta.get(key)
+    if not isinstance(value, kind):
+        raise CheckpointError(f"{path}: checkpoint metadata has no valid {key!r}")
+    return value
+
+
 def _load_run(ckpt_path: str):
     """Checkpoint, model and config reconstructed from a checkpoint's metadata."""
     ck = load_checkpoint(ckpt_path)
-    return ck, rebuild_model(ck), ExperimentConfig.from_dict(ck.meta["config"])
+    return ck, rebuild_model(ck), ExperimentConfig.from_dict(_meta(ck, ckpt_path, "config", dict))
 
 
 def _run_dataset(cfg: ExperimentConfig):
@@ -63,19 +71,20 @@ def _cmd_analyze_masks(args) -> int:
     paths = sorted(glob.glob(os.path.join(args.checkpoints, "ckpt_*.splb")))
     if len(paths) < 2:
         raise ConfigError(f"need at least two checkpoints in {args.checkpoints}")
-    os.makedirs(args.out, exist_ok=True)
     epochs, supports, channel_rows = [], [], []
     for p in paths:
         ck = load_checkpoint(p)
         model = rebuild_model(ck)
-        epochs.append(ck.meta["epoch"])
+        epoch = _meta(ck, p, "epoch", int)
+        epochs.append(epoch)
         supports.append(_supports(model))
         conv = model.conv_layers()
         if conv:
             per_layer, global_frac = diagnostics.channel_sparsity(conv)
             for layer, frac in per_layer.items():
-                channel_rows.append((ck.meta["epoch"], layer, frac))
-            channel_rows.append((ck.meta["epoch"], "_global", global_frac))
+                channel_rows.append((epoch, layer, frac))
+            channel_rows.append((epoch, "_global", global_frac))
+    os.makedirs(args.out, exist_ok=True)
     iou_lines = ["epoch_a,epoch_b,iou"]
     for i in range(len(paths) - 1):
         iou = diagnostics.mask_iou(supports[i], supports[i + 1])
@@ -91,6 +100,7 @@ def _cmd_analyze_masks(args) -> int:
 
 def _cmd_sharpness(args) -> int:
     ck, model, cfg = _load_run(args.checkpoint)
+    epoch = _meta(ck, args.checkpoint, "epoch", int)
     data = _run_dataset(cfg)
     rng = Rng(cfg.seed).stream(STREAM_SHARPNESS)
     idx = rng.permutation(len(data.x_train))[: args.batch_size]
@@ -103,7 +113,7 @@ def _cmd_sharpness(args) -> int:
     params = {n: e.weights.astype(np.float64) for n, e in model.store.items()}
     support = model.store.masks() if not args.no_mask_restrict else None
     value = sharpness(grad_fn, params, rng, support=support, power_iters=args.power_iters)
-    print(f"sharpness {format_sig9(value)} (epoch {ck.meta['epoch']}, "
+    print(f"sharpness {format_sig9(value)} (epoch {epoch}, "
           f"{'masked' if support else 'unrestricted'}, {args.power_iters} iterations)")
     return 0
 
@@ -201,7 +211,7 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_flops(args) -> int:
     if args.checkpoint:
-        _, model, _ = _load_run(args.checkpoint)
+        model = rebuild_model(load_checkpoint(args.checkpoint))
     else:
         cfg = ExperimentConfig.from_file(args.config)
         model = build_model(cfg.model, Rng(cfg.seed).stream(STREAM_INIT))

@@ -1,6 +1,36 @@
 import numpy as np
 import pytest
 
+from sparselab import autodiff as ad
+from sparselab.autodiff import Var
+from sparselab.models import ParamStore
+
+
+def mul(a, b):
+    """Elementwise product on the autodiff tape, with broadcasting; the
+    package's models need none, so it lives with the tests."""
+
+    def back(g):
+        return (
+            ad._unbroadcast(g * b.value, a.value.shape),
+            ad._unbroadcast(g * a.value, b.value.shape),
+        )
+
+    return Var(a.value * b.value, (a, b), back)
+
+
+def num_params(store) -> int:
+    return sum(e.weights.size for _, e in store.items())
+
+
+def clone_store(store) -> ParamStore:
+    """A store holding copies of every weight, mask and trainable flag."""
+    out = ParamStore()
+    for name, e in store.items():
+        out.add(name, e.weights.copy(), e.trainable)
+        out.set_mask(name, None if e.mask is None else e.mask.copy())
+    return out
+
 
 def fd_gradients(model, x, y, h=1e-3, eps=0.0):
     """Independent central-difference gradient oracle at f64."""

@@ -13,7 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import changed_per_stage, fd_gradients, max_rel_error, record_stage_starts
+from conftest import (
+    changed_per_stage, fd_gradients, max_rel_error, num_params, record_stage_starts,
+)
 
 from sparselab import diagnostics as dg
 from sparselab.checkpoint import load_checkpoint, rebuild_model, save_checkpoint
@@ -61,7 +63,7 @@ def test_criterion_1_gradient_correctness():
     worst_overall = 0.0
     for spec, h in cases:
         model = build_model(spec, Rng(11))
-        assert model.store.num_params() <= 500
+        assert num_params(model.store) <= 500
         if model.input_dim is None:
             x = np.array([[0, 1, 2], [3, 2, 1], [1, 1, 0], [2, 0, 3]])
             y = np.array([0, 1, 1, 0])
@@ -329,7 +331,7 @@ def test_criterion_5_sharpness_oracle():
     while accepted < 20:
         assert i < 200, "instance stream exhausted"
         model = build_model(mlp_spec((4, 4, 3)), Rng(1000 + i))
-        assert model.store.num_params() <= 60
+        assert num_params(model.store) <= 60
         x = Rng(2000 + i).normals(16 * 4).reshape(16, 4)
         y = np.arange(16) % 3
         if _relu_margin(model, x) <= 0.005:

@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import clone_store
+
 from sparselab.checkpoint import (
     MAGIC,
     VERSION,
@@ -49,7 +51,7 @@ def test_save_load_save_identical_bytes(tmp_path):
     p1, p2 = str(tmp_path / "a.splb"), str(tmp_path / "b.splb")
     save_checkpoint(p1, model.store, {"epoch": 1})
     ck = load_checkpoint(p1)
-    store2 = model.store.clone()
+    store2 = clone_store(model.store)
     for name, arr in ck.weights().items():
         store2[name].weights[...] = arr
     save_checkpoint(p2, store2, {"epoch": 1})
@@ -158,13 +160,17 @@ def _record(shape, offset):
     [],
     {"tensors": [_record([2], -4)], "meta": {}},
     {"tensors": [_record([-1, 2], 0)], "meta": {}},
-], ids=["no-tensors", "no-meta", "list-header", "negative-offset", "negative-shape"])
+    {"tensors": [_record([2], 0)], "meta": {"model_spec": {"arch": "mlp", "bogus": 1}}},
+    {"tensors": [_record([2], 0)], "meta": {"model_spec": ["mlp"]}},
+], ids=["no-tensors", "no-meta", "list-header", "negative-offset", "negative-shape",
+        "spec-unknown-key", "spec-not-object"])
 def test_malformed_header_is_checkpoint_error(tmp_path, capsys, header):
-    """Each ends in CheckpointError, and the CLI exits 1 with one error line."""
+    """Each ends in CheckpointError, when loaded or when the model is
+    rebuilt from it, and the CLI exits 1 with one error line."""
     path = str(tmp_path / "bad.splb")
     _raw_checkpoint(path, header, payload=b"\x00" * 16)
     with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+        rebuild_model(load_checkpoint(path))
     assert main(["flops", "--checkpoint", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

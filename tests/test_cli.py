@@ -222,3 +222,30 @@ def test_malformed_loop_inputs_exit_2(tmp_path, capsys, command, bad):
         assert main(train + (bad if command == "train" else [])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["sharpness", "analyze-masks"])
+def test_checkpoint_without_run_metadata_exit_1(tmp_path, capsys, command):
+    """A checkpoint saved with only its model spec has no run config or
+    epoch: commands that need them exit 1 with one error line and write
+    nothing, while `flops` needs only the spec."""
+    from sparselab.checkpoint import save_checkpoint
+    from sparselab.models import build_model, mlp_spec
+    from sparselab.rng import Rng
+
+    model = build_model(mlp_spec((6, 4, 3)), Rng(0))
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    for epoch in (1, 2):
+        save_checkpoint(str(ckpts / f"ckpt_{epoch:05d}.splb"), model.store,
+                        {"model_spec": model.spec.to_dict()})
+    ckpt = str(ckpts / "ckpt_00001.splb")
+    assert main(["flops", "--checkpoint", ckpt]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    argv = {"sharpness": ["sharpness", "--checkpoint", ckpt],
+            "analyze-masks": ["analyze-masks", str(ckpts), "--out", out]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not os.path.exists(out)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import num_params
+
 from sparselab.errors import ShapeError
 from sparselab.landscape import PathSpec, hvp, interpolate_path, sharpness
 from sparselab.models import build_model, mlp_spec
@@ -40,7 +42,7 @@ def model_grad_fn(model, x, y):
 
 def test_hvp_symmetry_bilinear_form():
     model = build_model(mlp_spec((5, 6, 3)), Rng(3))
-    assert model.store.num_params() <= 100
+    assert num_params(model.store) <= 100
     x = Rng(4).normals(8 * 5).reshape(8, 5)
     y = np.arange(8) % 3
     fn = model_grad_fn(model, x, y)
@@ -115,7 +117,7 @@ def fd_hessian(fn, params, eps=1e-4):
 
 def test_sharpness_vs_explicit_hessian_on_small_net():
     model = build_model(mlp_spec((4, 4, 3)), Rng(7))
-    assert model.store.num_params() <= 60
+    assert num_params(model.store) <= 60
     x = Rng(8).normals(16 * 4).reshape(16, 4)
     y = np.arange(16) % 3
     fn = model_grad_fn(model, x, y)

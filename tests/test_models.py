@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import fd_gradients, max_rel_error
+from conftest import fd_gradients, max_rel_error, mul, num_params
 
 from sparselab.errors import NonFiniteError, ShapeError
 from sparselab.models import (
@@ -95,7 +95,7 @@ def test_scalar_quadratic_gradient():
     out = ad.matmul(x, w)
     # 0.5*(out-1)^2 built from primitives
     diff = ad.add(out, Var(np.array([[-1.0]])))
-    sq = ad.mul(diff, diff)
+    sq = mul(diff, diff)
     loss = ad.scale(sq, 0.5)
     total = Var(np.asarray(loss.value.sum()), (loss,), lambda g: (np.ones_like(loss.value) * g,))
     backward(total)
@@ -127,7 +127,7 @@ GRAD_CASES = [
 @pytest.mark.parametrize("name,spec,h", GRAD_CASES)
 def test_gradient_check_small_zoo(name, spec, h):
     model = build_model(spec, Rng(11))
-    assert model.store.num_params() <= 500
+    assert num_params(model.store) <= 500
     rng = Rng(12)
     if model.input_dim is None:
         x = np.array([[0, 1, 2], [3, 2, 1], [1, 1, 0], [2, 0, 3]])

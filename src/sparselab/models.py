@@ -161,17 +161,6 @@ class ParamStore:
     def weight_arrays(self) -> dict[str, np.ndarray]:
         return {n: e.weights for n, e in self._entries.items()}
 
-    def clone(self) -> "ParamStore":
-        out = ParamStore()
-        for name, e in self._entries.items():
-            out._entries[name] = ParamEntry(
-                e.weights.copy(), None if e.mask is None else e.mask.copy(), e.trainable
-            )
-        return out
-
-    def num_params(self) -> int:
-        return sum(e.weights.size for e in self._entries.values())
-
 
 @dataclass(frozen=True)
 class ParamDef:

@@ -154,23 +154,29 @@ def _record(shape, offset):
     return {"name": "w", "kind": "weights", "shape": shape, "offset": offset}
 
 
-@pytest.mark.parametrize("header", [
-    {"meta": {}},
-    {"tensors": []},
-    [],
-    {"tensors": [_record([2], -4)], "meta": {}},
-    {"tensors": [_record([-1, 2], 0)], "meta": {}},
-    {"tensors": [_record([2], 0)], "meta": {"model_spec": {"arch": "mlp", "bogus": 1}}},
-    {"tensors": [_record([2], 0)], "meta": {"model_spec": ["mlp"]}},
+@pytest.mark.parametrize("header, loads", [
+    ({"meta": {}}, False),
+    ({"tensors": []}, False),
+    ([], False),
+    ({"tensors": [_record([2], -4)], "meta": {}}, False),
+    ({"tensors": [_record([-1, 2], 0)], "meta": {}}, False),
+    ({"tensors": [_record([2], 0)], "meta": {"model_spec": {"arch": "mlp", "bogus": 1}}}, True),
+    ({"tensors": [_record([2], 0)], "meta": {"model_spec": ["mlp"]}}, True),
 ], ids=["no-tensors", "no-meta", "list-header", "negative-offset", "negative-shape",
         "spec-unknown-key", "spec-not-object"])
-def test_malformed_header_is_checkpoint_error(tmp_path, capsys, header):
-    """Each ends in CheckpointError, when loaded or when the model is
-    rebuilt from it, and the CLI exits 1 with one error line."""
+def test_malformed_header_is_checkpoint_error(tmp_path, capsys, header, loads):
+    """A bad header or tensor record fails in load_checkpoint; a bad model
+    spec loads and fails when the model is rebuilt. Either way the error is
+    CheckpointError and the CLI exits 1 with one error line."""
     path = str(tmp_path / "bad.splb")
     _raw_checkpoint(path, header, payload=b"\x00" * 16)
-    with pytest.raises(CheckpointError):
-        rebuild_model(load_checkpoint(path))
+    if loads:
+        ck = load_checkpoint(path)
+        with pytest.raises(CheckpointError):
+            rebuild_model(ck)
+    else:
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
     assert main(["flops", "--checkpoint", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

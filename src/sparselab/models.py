@@ -384,6 +384,9 @@ def _forward_transformer(
     h = ad.add(ad.embedding(pv["tok_emb.weight"], ids), ad.take_rows(pv["pos_emb.weight"], T))
     inv_sqrt_d = 1.0 / math.sqrt(s.d_model)
     use_dropout = train and s.dropout > 0.0 and dropout_rng is not None
+    if use_dropout:
+        # one request for the step's 2 sites per block, each site's row in forward order
+        draws = dropout_rng.uniforms(2 * s.blocks * h.value.size).reshape(2 * s.blocks, -1)
     for i in range(1, s.blocks + 1):
         b = f"block{i}"
         pre = ad.layer_norm(h, pv[f"{b}.ln1.scale"], pv[f"{b}.ln1.bias"])
@@ -394,13 +397,13 @@ def _forward_transformer(
         ctx = ad.matmul(attn, v)
         proj = ad.add(ad.matmul(ctx, pv[f"{b}.attn.wo.weight"]), pv[f"{b}.attn.wo.bias"])
         if use_dropout:
-            proj = ad.dropout(proj, s.dropout, dropout_rng.uniforms(proj.value.size))
+            proj = ad.dropout(proj, s.dropout, draws[2 * i - 2])
         h = ad.add(h, proj)
         pre2 = ad.layer_norm(h, pv[f"{b}.ln2.scale"], pv[f"{b}.ln2.bias"])
         f1 = ad.relu(ad.add(ad.matmul(pre2, pv[f"{b}.ff.w1.weight"]), pv[f"{b}.ff.w1.bias"]))
         f2 = ad.add(ad.matmul(f1, pv[f"{b}.ff.w2.weight"]), pv[f"{b}.ff.w2.bias"])
         if use_dropout:
-            f2 = ad.dropout(f2, s.dropout, dropout_rng.uniforms(f2.value.size))
+            f2 = ad.dropout(f2, s.dropout, draws[2 * i - 1])
         h = ad.add(h, f2)
     h = ad.layer_norm(h, pv["final_ln.scale"], pv["final_ln.bias"])
     pooled = ad.mean_axis(h, 1)

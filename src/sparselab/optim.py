@@ -1,7 +1,14 @@
 """SGD with momentum, coupled weight decay, and mask-aware updates.
 
-Masked-out entries receive no decay and no momentum and stay bit-exact
-zero; frozen (non-trainable) parameters are untouched entirely.
+A masked parameter's gradient is multiplied by its f32 0/1 mask before the
+update, so masked-out entries receive no gradient, no decay and no momentum.
+They stay bit-exact +0.0 only because they are +0.0 when each step starts:
+`ParamStore.set_mask` writes +0.0 to the weights it masks out, and
+`reset_momentum` zeroes the momentum of every entry whose mask membership
+changed. A non-finite gradient at a masked-out entry turns into NaN there,
+so the step raises `NonFiniteError` just as for a live entry. With momentum 0
+the buffer holds the gradient plus +0.0, which stores a -0.0 as +0.0.
+Frozen (non-trainable) parameters are untouched entirely.
 """
 
 from __future__ import annotations
@@ -67,9 +74,9 @@ class SgdState:
 
 
 def sgd_step(store: ParamStore, grads: dict[str, np.ndarray], state: SgdState, step: int) -> None:
-    """One update: g' = g + wd*w, m <- beta*m + g', w <- w - lr*m.
+    """One update: g' = g*mask + wd*w, m <- beta*m + g', w <- w - lr*m.
 
-    Masked entries keep w == 0 and m == 0 exactly; frozen entries are skipped.
+    Masked entries keep w == +0.0 and m == +0.0; frozen entries are skipped.
     """
     lr = np.float32(lr_at(state.schedule, step))
     beta = np.float32(state.momentum)
@@ -80,18 +87,16 @@ def sgd_step(store: ParamStore, grads: dict[str, np.ndarray], state: SgdState, s
         g = grads[name]
         w = entry.weights
         m = state.buffers[name]
+        if entry.mask is not None:
+            g = g * entry.mask
         if wd != 0.0:
             g = g + wd * w
         if beta != 0.0:
             m *= beta
             m += g
         else:
-            m[...] = g
+            np.add(g, 0.0, out=m)  # a negative g times a mask zero is -0.0
         w -= lr * m
-        if entry.mask is not None:
-            dead = entry.mask == 0.0
-            w[dead] = 0.0
-            m[dead] = 0.0
         if not np.all(np.isfinite(w)):
             raise NonFiniteError(f"non-finite update for {name}")
 

@@ -6,6 +6,9 @@ masks and stay out of every scoring pool.
 
 Ties anywhere are broken stably by lower flat index (kept first when
 keeping, dropped first when dropping), so masks are bit-reproducible.
+Selection is by partition, not by sort: one `np.partition` finds the
+threshold score, every entry above it is kept, and the remaining count goes
+to the lowest flat indices equal to it. Scores must not be NaN.
 """
 
 from __future__ import annotations
@@ -51,9 +54,13 @@ def _floor_count(x: float) -> int:
 def _keep_top(scores: np.ndarray, active: np.ndarray, kept: int) -> np.ndarray:
     """Boolean keep flags for the `kept` largest scores among the active
     entries (all of them when fewer), low index wins ties."""
-    order = np.lexsort((np.arange(scores.size), -np.where(active, scores, -np.inf)))
-    keep = np.zeros(scores.size, dtype=bool)
-    keep[order[: min(kept, int(active.sum()))]] = True
+    kept = min(kept, int(active.sum()))
+    if kept == 0:
+        return np.zeros(scores.size, dtype=bool)
+    keyed = np.where(active, scores, -np.inf)
+    kth = np.partition(keyed, keyed.size - kept)[keyed.size - kept]
+    keep = keyed > kth
+    keep[np.flatnonzero(keyed == kth)[: kept - int(np.count_nonzero(keep))]] = True
     return keep & active
 
 
@@ -248,17 +255,7 @@ def rigl_step(
     if k > n_inactive:
         log.warning("rigl_step: k=%d capped at inactive count %d", k, n_inactive)
         k = n_inactive
-    new = active.copy()
-    if k > 0:
-        idx = np.arange(active.size)
-        act_idx = idx[active]
-        drop_order = np.lexsort((act_idx, flat_w[active]))
-        dropped = act_idx[drop_order[:k]]
-        inact_idx = idx[~active]
-        grow_order = np.lexsort((inact_idx, -flat_g[~active]))
-        grown = inact_idx[grow_order[:k]]
-        new[dropped] = False
-        new[grown] = True
+    new = (active & ~_keep_top(-flat_w, active, k)) | _keep_top(flat_g, ~active, k)
     changed = new != active
     return new.reshape(mask.shape).astype(np.float32), changed.reshape(mask.shape)
 

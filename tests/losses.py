@@ -1,14 +1,14 @@
 """Cross-entropy on a single logit vector, with optional label smoothing.
 
 The training path differentiates `autodiff.cross_entropy_mean`; this module
-is the scalar f64 form used for spot checks and metric evaluation.
+is the scalar f64 form the tests use as an oracle for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from sparselab.errors import NonFiniteError, ShapeError
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -16,12 +16,12 @@ import pytest
 from conftest import (
     changed_per_stage, fd_gradients, max_rel_error, num_params, record_stage_starts,
 )
+from losses import cross_entropy
 
 from sparselab import diagnostics as dg
 from sparselab.checkpoint import load_checkpoint, rebuild_model, save_checkpoint
 from sparselab.config import ExperimentConfig
 from sparselab.landscape import PathSpec, interpolate_path, sharpness
-from sparselab.losses import cross_entropy
 from sparselab.models import build_model, micro_cnn_spec, mlp_spec, tiny_transformer_spec
 from sparselab.rng import Rng
 from sparselab.runner import dataset_loss, run_experiment

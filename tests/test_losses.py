@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparselab.errors import ShapeError
-from sparselab.losses import cross_entropy
+from losses import cross_entropy
 
 
 def test_uniform_logits_ln_c():

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sparselab.errors import ScheduleError
-from sparselab.models import ParamStore
+from conftest import clone_store
+from sparselab import runner
+from sparselab.config import ExperimentConfig
+from sparselab.data import DatasetSpec, build_dataset
+from sparselab.errors import NonFiniteError, ScheduleError
+from sparselab.models import ParamStore, build_model, tiny_transformer_spec
 from sparselab.optim import LrSchedule, SgdState, lr_at, reset_momentum, sgd_step
+from sparselab.rng import STREAM_DATA, Rng
+from sparselab.sparsify import SparsityDistribution, magnitude_mask
+from sparselab.transfer import TransferHyper, transfer_run
 
 
 def make_store(values, mask=None, trainable=True):
@@ -117,3 +125,162 @@ def test_cosine_schedule_endpoints():
     s = LrSchedule(kind="cosine", peak=0.2, warmup_end=5, total_steps=25)
     assert lr_at(s, 5) == pytest.approx(0.2)
     assert lr_at(s, 25) == pytest.approx(0.0, abs=1e-17)
+
+
+# -- the masked-step contract -------------------------------------------------
+
+
+def indexing_sgd_step(store, grads, state, step):
+    """The step as it was before masking by multiplication: update every
+    entry, then zero the masked-out weights and momentum by indexing."""
+    lr = np.float32(lr_at(state.schedule, step))
+    beta = np.float32(state.momentum)
+    wd = np.float32(state.weight_decay)
+    for name, entry in store.items():
+        if not entry.trainable:
+            continue
+        g, w, m = grads[name], entry.weights, state.buffers[name]
+        if wd != 0.0:
+            g = g + wd * w
+        if beta != 0.0:
+            m *= beta
+            m += g
+        else:
+            m[...] = g
+        w -= lr * m
+        if entry.mask is not None:
+            dead = entry.mask == 0.0
+            w[dead] = 0.0
+            m[dead] = 0.0
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    momentum=st.sampled_from([0.0, 0.9]),
+    weight_decay=st.sampled_from([0.0, 1e-3]),
+    steps=st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_masked_step_bytes_equal_indexing_step(seed, momentum, weight_decay, steps):
+    """Negative gradients at dead entries, mask changes between steps with
+    momentum reset as the runner does: weights and momentum keep the bytes
+    of the indexing step, +0.0 included."""
+    rng = np.random.default_rng(seed)
+    shapes = {"w": (6, 5), "b": (5,)}
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.add(name, rng.normal(size=shape))
+    store.set_mask("w", (rng.random(shapes["w"]) < 0.5).astype(np.float32))
+    ref = clone_store(store)
+    schedule = LrSchedule(kind="constant", peak=0.1, total_steps=10)
+    state = SgdState(store, schedule, momentum, weight_decay)
+    ref_state = SgdState(ref, schedule, momentum, weight_decay)
+    for step in range(steps):
+        if step > 0 and rng.random() < 0.5:
+            mask = (rng.random(shapes["w"]) < 0.5).astype(np.float32)
+            changed = {"w": (store["w"].mask != 0.0) != (mask != 0.0)}
+            for s, st_ in ((store, state), (ref, ref_state)):
+                s.set_mask("w", mask)
+                reset_momentum(st_, changed)
+        grads = {n: rng.normal(size=shape).astype(np.float32) for n, shape in shapes.items()}
+        dead = store["w"].mask == 0.0
+        grads["w"][dead] = -np.abs(grads["w"][dead])
+        sgd_step(store, grads, state, step)
+        indexing_sgd_step(ref, grads, ref_state, step)
+        for name in shapes:
+            assert store[name].weights.tobytes() == ref[name].weights.tobytes()
+            assert state.buffers[name].tobytes() == ref_state.buffers[name].tobytes()
+
+
+def test_non_finite_gradient_at_dead_entry_raises():
+    store = make_store([1.0, 0.0, 3.0], mask=[1, 0, 1])
+    state = SgdState(store, LrSchedule(kind="constant", peak=0.1, total_steps=10))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
+            sgd_step(store, {"w": np.float32([1.0, bad, 1.0])}, state, 0)
+
+
+def test_zero_momentum_stores_negative_zero_gradient_as_positive_zero():
+    store = make_store([1.0, 0.0], mask=[1, 0])
+    state = SgdState(store, LrSchedule(kind="constant", peak=0.1, total_steps=10), 0.0, 0.0)
+    sgd_step(store, {"w": np.float32([-0.0, -2.0])}, state, 0)
+    assert state.buffers["w"].tobytes() == np.float32([0.0, 0.0]).tobytes()
+    assert store["w"].weights.tobytes() == np.float32([1.0, 0.0]).tobytes()
+
+
+def assert_dead_entries_positive_zero(store, state):
+    for name, entry in store.items():
+        if entry.mask is None:
+            continue
+        dead = entry.mask == 0.0
+        for arr in (entry.weights, state.buffers[name]):
+            assert np.all(arr[dead] == 0.0), name
+            assert not np.signbit(arr[dead]).any(), name
+
+
+@pytest.fixture
+def checked_steps(monkeypatch):
+    """Check the dead entries before each step the training loop takes, and
+    count the steps at which some mask differs from the previous step's."""
+    seen = {"steps": 0, "mask_changes": 0, "last": None}
+
+    def checked(store, grads, state, step):
+        assert_dead_entries_positive_zero(store, state)
+        masks = {n: m.tobytes() for n, m in store.masks().items()}
+        if seen["last"] is not None and masks != seen["last"]:
+            seen["mask_changes"] += 1
+        seen["last"] = masks
+        seen["steps"] += 1
+        sgd_step(store, grads, state, step)
+
+    monkeypatch.setattr(runner, "sgd_step", checked)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "method, extra, optimizer",
+    [
+        ("gmp", {"gmp": {"ramp_start": 0, "ramp_end": 8, "update_every": 2}}, (0.9, 1e-4)),
+        ("rigl", {"rigl": {"alpha": 0.3, "t_end": 10, "delta_t": 1}}, (0.9, 1e-4)),
+        ("acdc", {"acdc": {"warmup": 1, "phase_len": 2, "last_decompression": 2,
+                           "last_compression": 2}}, (0.9, 1e-4)),
+        ("acdc", {"acdc": {"warmup": 1, "phase_len": 2, "last_decompression": 2,
+                           "last_compression": 2, "decompression_sparsity": 0.5}}, (0.9, 0.0)),
+        ("gmp", {"gmp": {"ramp_start": 0, "ramp_end": 8, "update_every": 2}}, (0.0, 0.0)),
+    ],
+)
+def test_dead_entries_positive_zero_at_every_step(
+    tmp_path, checked_steps, method, extra, optimizer
+):
+    momentum, weight_decay = optimizer
+    tree = {
+        "seed": 5, "method": method, "total_epochs": 12, "batch_size": 64,
+        "optimizer": {"lr": 0.1, "momentum": momentum, "weight_decay": weight_decay,
+                      "warmup_epochs": 1},
+        "sparsity": {"target": 0.8, "distribution": "erk" if method == "rigl" else "global"},
+        "model": {"arch": "mlp", "layer_dims": [32, 24, 10]},
+        "dataset": {"kind": "synthetic-blobs", "n_train": 256, "n_val": 64, "classes": 10,
+                    "dim": 32},
+        **extra,
+    }
+    runner.run_experiment(ExperimentConfig.from_dict(tree), str(tmp_path / "run"))
+    assert checked_steps["steps"] == 12 * 4
+    assert checked_steps["mask_changes"] >= 3
+
+
+def test_dead_entries_positive_zero_through_transfer(checked_steps):
+    spec = tiny_transformer_spec(vocab=8, max_len=8, d_model=8, ff_dim=12, blocks=2, classes=2,
+                                 dropout=0.1)
+    model = build_model(spec, Rng(4))
+    masks = magnitude_mask(
+        {n: model.store[n].weights for n in model.prunable_names()},
+        SparsityDistribution(kind="global", target=0.6),
+    )
+    for name, mask in masks.items():
+        model.store.set_mask(name, mask)
+    data = build_dataset(
+        DatasetSpec(kind="synthetic-sequences", n_train=64, n_val=32, vocab=8, seq_len=8),
+        Rng(9).stream(STREAM_DATA),
+    )
+    transfer_run(model, data, TransferHyper(lr=0.05, batch_size=16, early_stop=False), Rng(11))
+    assert checked_steps["steps"] == 4 * 4

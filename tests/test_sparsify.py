@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparselab import sparsify
 from sparselab.errors import LayerCollapseError, ScheduleError
 from sparselab.rng import Rng
 from sparselab.sparsify import (
@@ -438,3 +439,114 @@ def test_shrink_mask_erk_nesting():
         if prev is not None:
             assert np.all(prev | ~sup)
         prev = sup
+
+
+# -- selection by partition against the sorting oracle --------------------------
+
+
+def lexsort_keep_top(scores, active, kept):
+    """Keep flags by a full stable sort: the `kept` largest active scores,
+    low index first on ties."""
+    order = np.lexsort((np.arange(scores.size), -np.where(active, scores, -np.inf)))
+    keep = np.zeros(scores.size, dtype=bool)
+    keep[order[: min(kept, int(active.sum()))]] = True
+    return keep & active
+
+
+def lexsort_rigl_step(weights, grads, mask, fraction):
+    """rigl_step with its drop and grow orders taken from full stable sorts."""
+    flat_w = np.abs(weights.reshape(-1).astype(np.float64))
+    flat_g = np.abs(grads.reshape(-1).astype(np.float64))
+    active = mask.reshape(-1) != 0.0
+    n_active = int(active.sum())
+    k = min(int(math.floor(fraction * n_active + 0.5)), active.size - n_active)
+    new = active.copy()
+    if k > 0:
+        idx = np.arange(active.size)
+        act_idx, inact_idx = idx[active], idx[~active]
+        new[act_idx[np.lexsort((act_idx, flat_w[active]))[:k]]] = False
+        new[inact_idx[np.lexsort((inact_idx, -flat_g[~active]))[:k]]] = True
+    changed = new != active
+    return new.reshape(mask.shape).astype(np.float32), changed.reshape(mask.shape)
+
+
+def quantised(rng, shape, levels):
+    """Values on a grid of `levels` magnitudes, so ties are common, with
+    about a fifth of the zeros negative."""
+    x = (rng.integers(-levels, levels + 1, size=shape) * 0.25).astype(np.float32)
+    x[(x == 0) & (rng.random(shape) < 0.2)] = -0.0
+    return x
+
+
+def magnitude_then_shrink(w, dist, tight):
+    """The masks of magnitude_mask, then of shrink_mask tightening them, or
+    LayerCollapseError where a pool would lose every entry."""
+    try:
+        masks = magnitude_mask(w, dist)
+        return [masks, shrink_mask(w, masks, tight)]
+    except LayerCollapseError:
+        return LayerCollapseError
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 60),
+    levels=st.integers(0, 4),
+    p_active=st.sampled_from([0.0, 0.3, 1.0]),
+    extra=st.integers(-3, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_keep_top_equals_sorting_oracle(seed, n, levels, p_active, extra):
+    rng = np.random.default_rng(seed)
+    scores = quantised(rng, n, levels).astype(np.float64)
+    active = rng.random(n) < p_active
+    # kept below, exactly at and above the active count, and 0
+    for kept in (0, max(int(active.sum()) + extra, 0), int(rng.integers(0, n + 2))):
+        got = sparsify._keep_top(scores, active, kept)
+        assert np.array_equal(got, lexsort_keep_top(scores, active, kept)), kept
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from(["global", "uniform", "erk", "block4-global"]),
+    levels=st.integers(0, 3),
+    target=st.sampled_from([0.0, 0.3, 0.5, 0.75, 0.9]),
+    tighten=st.sampled_from([0.0, 0.1, 0.3]),
+)
+@settings(max_examples=200, deadline=None)
+def test_pooled_masks_equal_sorting_oracle(seed, kind, levels, target, tighten):
+    rng = np.random.default_rng(seed)
+    w = {"a": quantised(rng, (5, 7), levels), "b": quantised(rng, (13,), levels),
+         "c": quantised(rng, (3, 3), levels)}
+    dist = SparsityDistribution(kind=kind, target=target, keep_dense=("c",) if seed % 2 else ())
+    tight = dist.with_target(min(target + tighten, 0.95))
+    got = magnitude_then_shrink(w, dist, tight)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sparsify, "_keep_top", lexsort_keep_top)
+        want = magnitude_then_shrink(w, dist, tight)
+    if want is LayerCollapseError:
+        assert got is LayerCollapseError
+        return
+    for a, b in zip(got, want):
+        assert a.keys() == b.keys()
+        for name in b:
+            assert a[name].tobytes() == b[name].tobytes(), name
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 80),
+    levels=st.integers(0, 4),
+    p_active=st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),
+    fraction=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_rigl_step_equals_sorting_oracle(seed, n, levels, p_active, fraction):
+    rng = np.random.default_rng(seed)
+    mask = (rng.random(n) < p_active).astype(np.float32)
+    w = quantised(rng, n, levels) * mask
+    g = quantised(rng, n, levels)
+    new, changed = rigl_step(w, g, mask, fraction)
+    want_new, want_changed = lexsort_rigl_step(w, g, mask, fraction)
+    assert new.tobytes() == want_new.tobytes()
+    assert np.array_equal(changed, want_changed)

@@ -74,7 +74,7 @@ class SgdState:
 
 
 def sgd_step(store: ParamStore, grads: dict[str, np.ndarray], state: SgdState, step: int) -> None:
-    """One update: g' = g*mask + wd*w, m <- beta*m + g', w <- w - lr*m.
+    """One update: g' = (g + wd*w)*mask, m <- beta*m + g', w <- w - lr*m.
 
     Masked entries keep w == +0.0 and m == +0.0; frozen entries are skipped.
     """
@@ -84,19 +84,22 @@ def sgd_step(store: ParamStore, grads: dict[str, np.ndarray], state: SgdState, s
     for name, entry in store.items():
         if not entry.trainable:
             continue
-        g = grads[name]
         w = entry.weights
         m = state.buffers[name]
-        if entry.mask is not None:
-            g = g * entry.mask
+        # g' in place on one fresh array: fewer arrays in cache than g*mask + wd*w
         if wd != 0.0:
-            g = g + wd * w
+            g = np.multiply(w, wd)
+            g += grads[name]
+        else:
+            g = grads[name].copy()
+        if entry.mask is not None:
+            g *= entry.mask
         if beta != 0.0:
             m *= beta
             m += g
         else:
             np.add(g, 0.0, out=m)  # a negative g times a mask zero is -0.0
-        w -= lr * m
+        w -= np.multiply(m, lr, out=g)
         if not np.all(np.isfinite(w)):
             raise NonFiniteError(f"non-finite update for {name}")
 

@@ -6,9 +6,10 @@ masks and stay out of every scoring pool.
 
 Ties anywhere are broken stably by lower flat index (kept first when
 keeping, dropped first when dropping), so masks are bit-reproducible.
-Selection is by partition, not by sort: one `np.partition` finds the
-threshold score, every entry above it is kept, and the remaining count goes
-to the lowest flat indices equal to it. Scores must not be NaN.
+Selection is by partition, not by sort: one `np.partition` of the active
+scores finds the threshold, every active entry above it is kept, and the
+remaining count goes to the lowest active flat indices equal to it. Scores
+must not be NaN.
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ def _floor_count(x: float) -> int:
 def _keep_top(scores: np.ndarray, active: np.ndarray, kept: int) -> np.ndarray:
     """Boolean keep flags for the `kept` largest scores among the active
     entries (all of them when fewer), low index wins ties."""
-    kept = min(kept, int(active.sum()))
+    pool = scores[active]
+    kept = min(kept, pool.size)
     if kept == 0:
         return np.zeros(scores.size, dtype=bool)
-    keyed = np.where(active, scores, -np.inf)
-    kth = np.partition(keyed, keyed.size - kept)[keyed.size - kept]
-    keep = keyed > kth
-    keep[np.flatnonzero(keyed == kth)[: kept - int(np.count_nonzero(keep))]] = True
-    return keep & active
+    kth = np.partition(pool, pool.size - kept)[pool.size - kept]
+    keep = active & (scores > kth)
+    keep[np.flatnonzero(active & (scores == kth))[: kept - int(np.count_nonzero(keep))]] = True
+    return keep
 
 
 def _blocks(flat: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """SGD with momentum, coupled weight decay, and mask-aware updates.
 
-A masked parameter's gradient is multiplied by its f32 0/1 mask before the
-update, so masked-out entries receive no gradient, no decay and no momentum.
-They stay bit-exact +0.0 only because they are +0.0 when each step starts:
+A masked parameter's decayed gradient g + wd*w is multiplied by its f32 0/1
+mask before the momentum update, so masked-out entries receive no gradient,
+no decay and no momentum without any indexing by the mask. They stay
+bit-exact +0.0 only because they are +0.0 when each step starts:
 `ParamStore.set_mask` writes +0.0 to the weights it masks out, and
 `reset_momentum` zeroes the momentum of every entry whose mask membership
 changed. A non-finite gradient at a masked-out entry turns into NaN there,

@@ -248,6 +248,7 @@ def checked_steps(monkeypatch):
                            "last_compression": 2, "decompression_sparsity": 0.5}}, (0.9, 0.0)),
         ("gmp", {"gmp": {"ramp_start": 0, "ramp_end": 8, "update_every": 2}}, (0.0, 0.0)),
     ],
+    ids=["gmp", "rigl", "acdc", "acdc-sparse-decompression", "gmp-no-momentum-no-decay"],
 )
 def test_dead_entries_positive_zero_at_every_step(
     tmp_path, checked_steps, method, extra, optimizer

@@ -2,6 +2,8 @@
 
 A `Var` wraps an ndarray and remembers how it was produced; `backward`
 walks the tape in reverse topological order and accumulates gradients.
+Inside `no_tape()` a `Var` keeps no tape, so each intermediate is freed as
+soon as the next op has read it. A `const` leaf (input data) gets no gradient.
 The engine is strictly first order: anything second order in the package
 is built from finite differences of these gradients.
 
@@ -11,19 +13,36 @@ training and in f64 when a test wants a high-precision oracle.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import ShapeError
 
 
-class Var:
-    __slots__ = ("value", "grad", "_parents", "_backprop")
+_taping = True
 
-    def __init__(self, value, parents=(), backprop=None):
+
+@contextmanager
+def no_tape():
+    """Build Vars without parents or backward closures, like `torch.no_grad`."""
+    global _taping
+    saved, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = saved
+
+
+class Var:
+    __slots__ = ("value", "grad", "const", "_parents", "_backprop")
+
+    def __init__(self, value, parents=(), backprop=None, const=False):
         self.value = np.asarray(value)
         self.grad = None
-        self._parents = parents
-        self._backprop = backprop
+        self.const = const
+        self._parents = parents if _taping else ()
+        self._backprop = backprop if _taping else None
 
     @property
     def shape(self):
@@ -86,16 +105,19 @@ def matmul(a: Var, b: Var) -> Var:
     out = np.matmul(a.value, b.value)
 
     def back(g):
-        ga = np.matmul(g, np.swapaxes(b.value, -1, -2))
-        gb = np.matmul(np.swapaxes(a.value, -1, -2), g)
-        return _unbroadcast(ga, a.value.shape), _unbroadcast(gb, b.value.shape)
+        gb = _unbroadcast(np.matmul(np.swapaxes(a.value, -1, -2), g), b.value.shape)
+        if a.const:
+            return None, gb
+        return _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.value.shape), gb
 
     return Var(out, (a, b), back)
 
 
 def relu(a: Var) -> Var:
-    keep = a.value > 0
-    return Var(np.where(keep, a.value, a.value.dtype.type(0)), (a,), lambda g: (g * keep,))
+    # branch-free; + 0 turns the -0.0 that fmax may return into np.where's +0.0
+    out = np.fmax(a.value, 0)
+    out += 0
+    return Var(out, (a,), lambda g: (g * (out > 0),))
 
 
 def reshape(a: Var, shape: tuple) -> Var:
@@ -217,6 +239,9 @@ def conv2d(x: Var, w: Var, b: Var, pad: int = 1) -> Var:
         # B*ho*wo is large enough for OpenBLAS to split across threads, and on a
         # shared 2-core machine that hand-off sometimes costs ~2 ms a call
         gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wv.shape)
+        gb = g.sum(axis=(0, 2, 3))
+        if x.const:
+            return None, gw, gb
         # col2im in a (hp, wp, B*C) buffer, so each += runs over a contiguous
         # innermost axis; every element still sums its terms in (ki, kj) order
         gcols = np.matmul(w2.T, g2).reshape(B * C, kh, kw, ho, wo).transpose(1, 2, 3, 4, 0)
@@ -225,7 +250,7 @@ def conv2d(x: Var, w: Var, b: Var, pad: int = 1) -> Var:
             for kj in range(kw):
                 gxp[ki : ki + ho, kj : kj + wo] += gcols[ki, kj]
         gx = gxp[pad : pad + H, pad : pad + W].transpose(2, 0, 1).reshape(B, C, H, W)
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw, gb
 
     return Var(out, (x, w, b), back)
 

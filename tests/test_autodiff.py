@@ -212,3 +212,79 @@ def test_dtype_preserved():
     a64 = Var(np.ones((2, 2), dtype=np.float64))
     b64 = Var(np.ones((2, 2), dtype=np.float64))
     assert ad.matmul(a64, b64).value.dtype == np.float64
+
+
+def _placed(values, byte_offset):
+    """`values` copied into a view that starts `byte_offset` bytes into a buffer."""
+    buf = np.zeros(values.nbytes + byte_offset, dtype=np.uint8)
+    view = buf[byte_offset:].view(values.dtype)
+    view[...] = values
+    return view
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_matches_where_byte_for_byte(dtype):
+    """Every special value at every position of every length up to 70, in
+    aligned, element-offset and unaligned views: the same bytes as
+    np.where(a > 0, a, 0), and the same gradient mask."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1.5, -2.5], dtype)
+    k = len(specials)
+    item = np.dtype(dtype).itemsize
+    for n in range(1, 71):
+        for shift in range(k):
+            values = specials[(np.arange(n) + shift) % k]
+            for byte_offset in (0, 1, item, 3 * item):
+                a = _placed(values, byte_offset)
+                want = np.where(a > 0, a, dtype(0))
+                x = Var(a)
+                out = ad.relu(x)
+                assert out.value.dtype == dtype
+                assert out.value.tobytes() == want.tobytes(), (n, shift, byte_offset)
+                backward(out)
+                assert x.grad.tobytes() == (np.ones_like(a) * (a > 0)).tobytes()
+
+
+def test_no_tape_vars_keep_no_parents():
+    a, b = Var(np.ones((2, 3))), Var(np.ones((3, 2)))
+    with ad.no_tape():
+        out = ad.relu(ad.matmul(a, b))
+    assert out._parents == () and out._backprop is None
+    taped = ad.relu(ad.matmul(a, b))
+    assert len(taped._parents) == 1 and taped._backprop is not None
+
+
+def test_no_tape_restored_after_exception():
+    with pytest.raises(ShapeError):
+        with ad.no_tape():
+            ad.conv2d(Var(np.ones((1, 2, 4, 4))), Var(np.ones((1, 3, 3, 3))), Var(np.ones(1)))
+    a = Var(np.array([1.0, -2.0]))
+    out = ad.relu(a)
+    backward(out)
+    assert a.grad.tolist() == [1.0, 0.0]
+
+
+def _conv_head(x, w, b, m):
+    return ad.matmul(ad.reshape(ad.conv2d(x, w, b), (2, -1)), m)
+
+
+def _two_layers(x, w, b, m):
+    return ad.matmul(ad.relu(ad.add(ad.matmul(x, w), b)), m)
+
+
+@pytest.mark.parametrize("build,shapes", [
+    (_conv_head, [(2, 1, 4, 4), (3, 1, 3, 3), (3,), (48, 2)]),
+    (_two_layers, [(2, 5), (5, 3), (3,), (3, 2)]),
+])
+def test_const_leaf_gets_no_gradient(build, shapes):
+    rng = Rng(3)
+    arrays = [rng.normals(int(np.prod(s))).reshape(s) for s in shapes]
+    x, *params = [Var(a, const=(i == 0)) for i, a in enumerate(arrays)]
+    backward(build(x, *params))
+    assert x.grad is None
+    # the same graph with x as a plain leaf gives x a gradient and the same others
+    x2, *params2 = [Var(a) for a in arrays]
+    backward(build(x2, *params2))
+    assert x2.grad is not None
+    for got, want in zip(params, params2):
+        assert got.grad.tobytes() == want.grad.tobytes()

@@ -1,9 +1,9 @@
 """Desk-scale model zoo: MLP, micro-CNN, tiny transformer.
 
 Models are a ModelSpec (architecture and dims) plus a ParamStore (named
-f32 tensors with optional masks and a trainable flag). The forward pass
-is built on the autodiff tape each call, so gradients are available for
-every parameter, masked or not; the optimizer decides what to ignore.
+f32 tensors with optional masks and a trainable flag). `loss_and_grad`
+tapes the forward pass and returns a gradient for every parameter, masked
+or not (the optimizer decides what to ignore); `forward` skips the tape.
 
 Each architecture's facts live in one table, `ARCHS`: its parameters
 (`ParamDef`), forward pass, input dimension and whether it has dropout.
@@ -226,23 +226,10 @@ class Model:
         dropout_rng: Rng | None = None,
     ) -> np.ndarray:
         pv = self._param_vars(params)
-        logits = ARCHS[self.spec.arch].forward(self.spec, pv, x, train, dropout_rng)
+        with ad.no_tape():
+            logits = ARCHS[self.spec.arch].forward(self.spec, pv, x, train, dropout_rng)
         ad.check_finite(logits.value, "logits")
         return logits.value
-
-    def loss(
-        self,
-        x: np.ndarray,
-        labels: np.ndarray,
-        *,
-        eps: float = 0.0,
-        params: dict[str, np.ndarray] | None = None,
-    ) -> float:
-        pv = self._param_vars(params)
-        logits = ARCHS[self.spec.arch].forward(self.spec, pv, x, False, None)
-        loss = ad.cross_entropy_mean(logits, labels, eps)
-        ad.check_finite(loss.value, "loss")
-        return float(loss.value)
 
     def loss_and_grad(
         self,
@@ -349,7 +336,7 @@ def _forward_mlp(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, train, dropout
     x = np.ascontiguousarray(x, dtype=pv["fc1.weight"].value.dtype)
     if x.ndim != 2 or x.shape[1] != dims[0]:
         raise ShapeError(f"mlp input {x.shape}, expected (batch, {dims[0]})")
-    h = Var(x)
+    h = Var(x, const=True)
     n_layers = len(dims) - 1
     for i in range(1, n_layers + 1):
         h = ad.add(ad.matmul(h, pv[f"fc{i}.weight"]), pv[f"fc{i}.bias"])
@@ -365,7 +352,7 @@ def _forward_cnn(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, train, dropout
         if x.shape[1] != s.in_channels * H * W:
             raise ShapeError(f"cnn input {x.shape}, expected (batch, {s.in_channels * H * W})")
         x = x.reshape(-1, s.in_channels, H, W)
-    h = Var(x)
+    h = Var(x, const=True)
     h = ad.relu(ad.conv2d(h, pv["conv1.weight"], pv["conv1.bias"], pad=1))
     h = ad.avg_pool2d(h)
     h = ad.relu(ad.conv2d(h, pv["conv2.weight"], pv["conv2.bias"], pad=1))

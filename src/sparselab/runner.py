@@ -51,7 +51,8 @@ from .sparsify import (
     shrink_mask,
 )
 
-EVAL_CHUNK = 256
+# rows per evaluation forward: a micro-CNN chunk's intermediates stay cache-sized
+EVAL_CHUNK = 64
 
 
 def predict_logits(model: Model, x: np.ndarray, params=None) -> np.ndarray:
@@ -425,6 +426,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
     try:
         for epoch, _, train_loss in epochs:
             rows.append(evaluate_row(model, data, epoch + 1, "val", train_loss))
+            val_ce = rows[-1].mean_ce
             if cfg.eval_train_split:
                 rows.append(evaluate_row(model, data, epoch + 1, "train", train_loss))
 
@@ -439,8 +441,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
                         "seed": cfg.seed,
                         "method": cfg.method,
                         "schedule_state": driver.state_dict(),
-                        "train_loss_eval": dataset_loss(model, data.x_train, data.y_train),
-                        "val_loss_eval": dataset_loss(model, data.x_val, data.y_val),
+                        "train_loss_eval": rows[-1].mean_ce if cfg.eval_train_split
+                            else dataset_loss(model, data.x_train, data.y_train),
+                        "val_loss_eval": val_ce,
                         "model_spec": cfg.model.to_dict(),
                         "config": cfg.resolved(),
                     },

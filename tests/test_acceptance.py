@@ -427,6 +427,7 @@ def _blobs_mlp_tree(seed, method, multiplier=1.0, label_noise=0.0, wd=1e-4,
     }
 
 
+@pytest.mark.slow
 def test_criterion_7_undertraining_trend(tmp_path):
     t0 = time.monotonic()
     under_wins = gain_wins = 0
@@ -463,6 +464,7 @@ def _nonzero_supports(paths):
     return sup, eps
 
 
+@pytest.mark.slow
 def test_criterion_8_mask_exploration_trend(tmp_path):
     total = 100
     wins = 0
@@ -497,6 +499,7 @@ def test_criterion_8_mask_exploration_trend(tmp_path):
     report(8, f"second-half consecutive IoU: AC/DC < RigL <= GMP in {wins}/3 seeds")
 
 
+@pytest.mark.slow
 def test_criterion_9_weight_decay_trend(tmp_path):
     # Claim: more weight decay leaves more exact zeros at the end of the final
     # decompressed phase, where masks are cleared and a zero survives only if

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import num_params
+from conftest import model_loss, num_params
 
 from sparselab.errors import ShapeError
 from sparselab.landscape import PathSpec, hvp, interpolate_path, sharpness
@@ -158,7 +158,7 @@ def test_interpolate_endpoints_bit_exact():
     y = np.arange(20) % 3
 
     def loss_fn(params):
-        return model.loss(x, y, params=params)
+        return model_loss(model, x, y, params=params)
 
     a = {n: e.weights.copy() for n, e in model.store.items()}
     b = {n: e.weights + np.float32(0.3) for n, e in model.store.items()}
@@ -175,7 +175,7 @@ def test_interpolate_identical_checkpoints_constant():
     y = np.arange(10) % 3
 
     def loss_fn(params):
-        return model.loss(x, y, params=params)
+        return model_loss(model, x, y, params=params)
 
     a = {n: e.weights.copy() for n, e in model.store.items()}
     rows = interpolate_path([a, a], {"val": loss_fn}, PathSpec(splits=("val",)))

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import fd_gradients, max_rel_error, mul, num_params
 
+from sparselab import autodiff as ad
 from sparselab.errors import NonFiniteError, ShapeError
 from sparselab.models import (
     ParamStore,
@@ -174,3 +175,44 @@ def test_transformer_init_scale():
     w = model.store["block1.attn.wq.weight"].weights
     assert abs(float(w.std()) - 0.02) < 0.005
     assert np.all(model.store["block1.ln1.scale"].weights == 1.0)
+
+
+ZOO = [
+    (mlp_spec((64, 32, 16, 10)), lambda rng: rng.normals(40 * 64).reshape(40, 64), 10),
+    (micro_cnn_spec(1, (8, 8), (4, 6), 10), lambda rng: rng.normals(40 * 64).reshape(40, 64), 10),
+    (tiny_transformer_spec(vocab=8, max_len=6, d_model=8, ff_dim=12, blocks=2, classes=2),
+     lambda rng: (rng.uniforms(40 * 6) * 8).astype(np.int64).reshape(40, 6), 2),
+]
+
+
+@pytest.mark.parametrize("spec,make_x,classes", ZOO, ids=lambda v: getattr(v, "arch", ""))
+def test_forward_equals_taped_logits_bit_for_bit(spec, make_x, classes, monkeypatch):
+    model = build_model(spec, Rng(31))
+    x = make_x(Rng(32))
+    y = np.arange(len(x)) % classes
+    taped = []
+
+    def recording(logits, labels, eps=0.0):
+        taped.append(logits.value.copy())
+        return cross_entropy(logits, labels, eps)
+
+    cross_entropy = ad.cross_entropy_mean
+    monkeypatch.setattr(ad, "cross_entropy_mean", recording)
+    model.loss_and_grad(x, y)
+    assert model.forward(x).tobytes() == taped[0].tobytes()
+
+
+def test_loss_and_grad_unchanged_by_forward_and_its_failure():
+    spec, make_x, classes = ZOO[1]
+    x = make_x(Rng(33))
+    y = np.arange(len(x)) % classes
+    before = build_model(spec, Rng(34)).loss_and_grad(x, y)[1]
+    model = build_model(spec, Rng(34))
+    model.forward(x)
+    with pytest.raises(ShapeError):
+        model.forward(np.zeros((2, 5)))
+    after = model.loss_and_grad(x, y)[1]
+    assert list(after) == list(before)
+    for name in before:
+        assert after[name].tobytes() == before[name].tobytes()
+        assert np.any(after[name] != 0.0)

@@ -4,10 +4,20 @@ import os
 import numpy as np
 import pytest
 
-from sparselab.checkpoint import load_checkpoint
+from sparselab.checkpoint import load_checkpoint, rebuild_model
 from sparselab.config import ExperimentConfig
+from sparselab.data import build_dataset
 from sparselab.errors import ConfigError
-from sparselab.runner import expand_grid, run_experiment, run_sweep
+from sparselab.models import build_model, mlp_spec
+from sparselab.rng import STREAM_DATA, Rng
+from sparselab.runner import (
+    EVAL_CHUNK,
+    dataset_loss,
+    expand_grid,
+    predict_logits,
+    run_experiment,
+    run_sweep,
+)
 from sparselab.sparsify import COMPRESSED, AcdcSchedule, acdc_phases
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -248,3 +258,26 @@ def test_run_failure_names_epoch_and_phase(tmp_path):
     cfg.optimizer.lr = 1e6  # divergence by design
     with pytest.raises(SparselabError, match="epoch .*phase"):
         run_experiment(cfg, str(tmp_path / "run"))
+
+
+@pytest.mark.parametrize("n", [1, EVAL_CHUNK - 1, EVAL_CHUNK, 2 * EVAL_CHUNK + 3])
+def test_predict_logits_any_length(n):
+    model = build_model(mlp_spec((12, 8, 5)), Rng(41))
+    x = Rng(42).normals(n * 12).reshape(n, 12).astype(np.float32)
+    got = predict_logits(model, x)
+    assert got.shape == (n, 5)
+    rows = np.concatenate([model.forward(x[i : i + 1]) for i in range(n)])
+    np.testing.assert_allclose(got, rows, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("eval_train_split", [False, True])
+def test_checkpoint_losses_equal_fresh_dataset_loss(tmp_path, eval_train_split):
+    cfg = fixture_cfg("dense_smoke.json", checkpoint_every=1, eval_train_split=eval_train_split)
+    res = run_experiment(cfg, str(tmp_path / "run"))
+    assert len(res.checkpoint_paths) == 2
+    data = build_dataset(cfg.dataset, Rng(cfg.seed).stream(STREAM_DATA))
+    for path in res.checkpoint_paths:
+        ck = load_checkpoint(path)
+        model = rebuild_model(ck)
+        assert ck.meta["val_loss_eval"] == dataset_loss(model, data.x_val, data.y_val)
+        assert ck.meta["train_loss_eval"] == dataset_loss(model, data.x_train, data.y_train)

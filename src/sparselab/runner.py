@@ -51,8 +51,8 @@ from .sparsify import (
     shrink_mask,
 )
 
-# rows per evaluation forward: a micro-CNN chunk's intermediates stay cache-sized
-EVAL_CHUNK = 64
+# rows per evaluation forward: the fastest of 32 to 256 in timed micro-CNN training runs
+EVAL_CHUNK = 128
 
 
 def predict_logits(model: Model, x: np.ndarray, params=None) -> np.ndarray:

@@ -6,49 +6,4 @@ channel sparsity, FLOPs accounting, Hessian sharpness, and loss-path
 interpolation, plus sparse-transfer recipes with gradual unfreezing.
 """
 
-from .config import ExperimentConfig
-from .data import Dataset, DatasetSpec, build_dataset, load_idx
-from .models import Model, ModelSpec, ParamStore, build_model, mlp_spec, micro_cnn_spec, tiny_transformer_spec
-from .rng import Rng
-from .runner import RunResult, run_experiment, run_sweep
-from .sparsify import (
-    AcdcSchedule,
-    GmpState,
-    SparsityDistribution,
-    acdc_phases,
-    erk_densities,
-    gmp_sparsity_at,
-    magnitude_mask,
-    rigl_fraction,
-    rigl_step,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AcdcSchedule",
-    "Dataset",
-    "DatasetSpec",
-    "ExperimentConfig",
-    "GmpState",
-    "Model",
-    "ModelSpec",
-    "ParamStore",
-    "Rng",
-    "RunResult",
-    "SparsityDistribution",
-    "acdc_phases",
-    "build_dataset",
-    "build_model",
-    "erk_densities",
-    "gmp_sparsity_at",
-    "load_idx",
-    "magnitude_mask",
-    "micro_cnn_spec",
-    "mlp_spec",
-    "rigl_fraction",
-    "rigl_step",
-    "run_experiment",
-    "run_sweep",
-    "tiny_transformer_spec",
-]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import load_tree
 from .errors import CheckpointError, ConfigError
 from .models import Model, ModelSpec, ParamStore
 
@@ -129,12 +130,9 @@ def rebuild_model(ck: Checkpoint) -> Model:
     Draws nothing: the architecture's parameter table gives the order and
     shapes, and every tensor is copied, so models rebuilt from one
     checkpoint share no array."""
-    spec = ck.meta.get("model_spec")
-    if not isinstance(spec, dict):
-        raise CheckpointError("checkpoint metadata carries no model spec object")
     try:
-        spec = ModelSpec.from_dict(spec)
-    except (TypeError, ValueError, ConfigError) as e:
+        spec = load_tree(ModelSpec, ck.meta.get("model_spec"), "model_spec")
+    except ConfigError as e:
         raise CheckpointError(f"checkpoint model spec is malformed: {e}") from e
     model = Model(spec, ParamStore())
     weights, masks = ck.weights(), ck.masks()

@@ -1,38 +1,86 @@
 """Experiment configuration: a human-readable JSON key-value tree.
 
-Unknown keys are rejected. The schedule multiplier scales the total epoch
-count and every epoch-valued schedule anchor proportionally; anchors left
-null derive from the effective total (GMP/RigL mask freezing at 75% of
-training, AC/DC warmup at 10%). The fully resolved tree is written next to
-each run's results so runs are self-describing.
+`load_tree` maps a tree onto the config dataclasses by their fields' type
+hints and `to_tree` maps them back; range and choice checks live in each
+dataclass's `__post_init__`, so construction is the only validation path.
+The schedule multiplier scales the total epoch count and every
+epoch-valued schedule anchor proportionally; anchors left null derive from
+the effective total (GMP/RigL mask freezing at 75% of training, AC/DC
+warmup at 10%). The fully resolved tree is written next to each run's
+results so runs are self-describing.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import ConfigError
-from .models import ModelSpec
 from .data import DatasetSpec
+from .errors import ConfigError
+from .models import ARCHS, ModelSpec
+from .optim import SCHEDULES
+from .sparsify import DISTRIBUTIONS
 
 METHODS = ("dense", "gmp", "rigl", "acdc", "oneshot")
+
+_hints = functools.cache(typing.get_type_hints)
 
 
 def _round_epochs(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _take(d: dict, key: str, default):
-    return d[key] if key in d else default
+def _load(tp, value, where: str):
+    """`value` checked against the type hint `tp`: a JSON integer also fits a
+    float, a bool never fits an int, and a list fills a tuple."""
+    args = typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return load_tree(tp, value, where)
+    if typing.get_origin(tp) is types.UnionType:  # X | None
+        return None if value is None else _load(args[0], value, where)
+    if typing.get_origin(tp) is tuple:
+        fixed = args[-1] is not ...
+        if not isinstance(value, (list, tuple)) or fixed and len(value) != len(args):
+            size = f" of {len(args)} items" if fixed else ""
+            raise ConfigError(f"{where} must be a list{size}, got {value!r}")
+        return tuple(_load(args[i if fixed else 0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if isinstance(value, bool) == (tp is bool):
+        if tp is float and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+            return float(value)
+        if tp is not float and isinstance(value, tp):
+            return value
+    raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
 
 
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
+def load_tree(cls, tree, where: str):
+    """A `cls` dataclass built from the JSON object `tree`; keys left out keep
+    their defaults. Every rejection is a ConfigError naming the dotted path."""
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{where} must be an object, got {tree!r}")
+    hints = _hints(cls)
+    unknown = set(tree) - set(hints)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    for f in dataclasses.fields(cls):
+        if f.name not in tree and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where}.{f.name} is required")
+    return cls(**{k: _load(hints[k], v, f"{where}.{k}") for k, v in tree.items()})
+
+
+def to_tree(obj):
+    """The JSON tree of a config dataclass, the inverse of `load_tree`."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_tree(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [to_tree(v) for v in obj]
+    return obj
 
 
 @dataclass
@@ -43,12 +91,27 @@ class OptimizerCfg:
     warmup_epochs: int = 2
     schedule: str = "linear-warmup-linear-decay"
 
+    def __post_init__(self):
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"optimizer.momentum must lie in [0, 1), got {self.momentum}")
+        if self.schedule not in SCHEDULES:
+            raise ConfigError(f"unknown lr schedule {self.schedule!r}, expected one of {SCHEDULES}")
+
 
 @dataclass
 class SparsityCfg:
     target: float = 0.95
     distribution: str = "global"
     keep_dense: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not 0.0 <= self.target < 1.0:
+            raise ConfigError("sparsity target must lie in [0, 1)")
+        if self.distribution not in DISTRIBUTIONS:
+            raise ConfigError(
+                f"unknown sparsity distribution {self.distribution!r}, "
+                f"expected one of {DISTRIBUTIONS}"
+            )
 
 
 @dataclass
@@ -95,6 +158,25 @@ class ExperimentConfig:
     model: ModelSpec = field(default_factory=lambda: ModelSpec(arch="mlp"))
     dataset: DatasetSpec = field(default_factory=lambda: DatasetSpec(kind="synthetic-blobs"))
 
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise ConfigError("label_smoothing must lie in [0, 1)")
+        if min(self.total_epochs, self.effective_total, self.batch_size, self.checkpoint_every) <= 0:
+            raise ConfigError(
+                "total_epochs (also times the multiplier), batch_size and checkpoint_every "
+                "must be positive"
+            )
+        arch, data = ARCHS[self.model.arch], self.dataset
+        if data.kind == "synthetic-blobs":
+            n_in, n_out = arch.input_dim(self.model), arch.output_dim(self.model)
+            if n_in not in (None, data.dim) or n_out != data.classes:
+                raise ConfigError(
+                    f"model maps {n_in} inputs to {n_out} classes, but the dataset has "
+                    f"dim {data.dim} and {data.classes} classes"
+                )
+
     # -- effective (multiplier-applied) schedule anchors ---------------------
 
     @property
@@ -104,41 +186,27 @@ class ExperimentConfig:
     def scaled(self, epochs: int | float) -> int:
         return _round_epochs(epochs * self.multiplier)
 
+    def _anchor(self, epochs: int | None, share: float) -> int:
+        """An epoch anchor scaled by the multiplier; null is `share` of the effective total."""
+        return _round_epochs(share * self.effective_total) if epochs is None else self.scaled(epochs)
+
     def effective_gmp(self) -> dict:
-        total = self.effective_total
-        ramp_end = (
-            _round_epochs(0.75 * total)
-            if self.gmp.ramp_end is None
-            else self.scaled(self.gmp.ramp_end)
-        )
         return {
             "ramp_start": self.scaled(self.gmp.ramp_start),
-            "ramp_end": ramp_end,
+            "ramp_end": self._anchor(self.gmp.ramp_end, 0.75),
             "update_every": max(1, self.scaled(self.gmp.update_every)),
         }
 
     def effective_rigl(self) -> dict:
-        total = self.effective_total
-        t_end = (
-            _round_epochs(0.75 * total)
-            if self.rigl.t_end is None
-            else self.scaled(self.rigl.t_end)
-        )
         return {
             "alpha": self.rigl.alpha,
-            "t_end": t_end,
+            "t_end": self._anchor(self.rigl.t_end, 0.75),
             "delta_t": max(1, self.scaled(self.rigl.delta_t)),
         }
 
     def effective_acdc(self) -> dict:
-        total = self.effective_total
-        warmup = (
-            _round_epochs(0.1 * total)
-            if self.acdc.warmup is None
-            else self.scaled(self.acdc.warmup)
-        )
         out = {
-            "warmup": warmup,
+            "warmup": self._anchor(self.acdc.warmup, 0.1),
             "phase_len": max(1, self.scaled(self.acdc.phase_len)),
             "last_decompression": max(1, self.scaled(self.acdc.last_decompression)),
             "last_compression": max(1, self.scaled(self.acdc.last_compression)),
@@ -155,27 +223,8 @@ class ExperimentConfig:
     # -- serialization -------------------------------------------------------
 
     def resolved(self) -> dict:
-        """Full tree with every default made explicit."""
-        return {
-            "seed": self.seed,
-            "method": self.method,
-            "total_epochs": self.total_epochs,
-            "batch_size": self.batch_size,
-            "multiplier": self.multiplier,
-            "checkpoint_every": self.checkpoint_every,
-            "label_smoothing": self.label_smoothing,
-            "eval_train_split": self.eval_train_split,
-            "optimizer": vars(self.optimizer).copy(),
-            "sparsity": {
-                "target": self.sparsity.target,
-                "distribution": self.sparsity.distribution,
-                "keep_dense": list(self.sparsity.keep_dense),
-            },
-            "gmp": vars(self.gmp).copy(),
-            "rigl": vars(self.rigl).copy(),
-            "acdc": vars(self.acdc).copy(),
-            "model": self.model.to_dict(),
-            "dataset": self.dataset.to_dict(),
+        """Full tree with every default made explicit, plus the effective anchors."""
+        return to_tree(self) | {
             "effective": {
                 "total_epochs": self.effective_total,
                 "gmp": self.effective_gmp(),
@@ -186,72 +235,18 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        _check_keys(
-            d,
-            {
-                "seed", "method", "total_epochs", "batch_size", "multiplier",
-                "checkpoint_every", "label_smoothing", "eval_train_split",
-                "optimizer", "sparsity", "gmp", "rigl", "acdc", "model", "dataset",
-                "effective",
-            },
-            "config",
-        )
-        cfg = ExperimentConfig()
-        cfg.seed = int(_take(d, "seed", cfg.seed))
-        cfg.method = _take(d, "method", cfg.method)
-        if cfg.method not in METHODS:
-            raise ConfigError(f"unknown method {cfg.method!r}, expected one of {METHODS}")
-        cfg.total_epochs = int(_take(d, "total_epochs", cfg.total_epochs))
-        cfg.batch_size = int(_take(d, "batch_size", cfg.batch_size))
-        cfg.multiplier = float(_take(d, "multiplier", cfg.multiplier))
-        cfg.checkpoint_every = int(_take(d, "checkpoint_every", cfg.checkpoint_every))
-        cfg.label_smoothing = float(_take(d, "label_smoothing", cfg.label_smoothing))
-        cfg.eval_train_split = bool(_take(d, "eval_train_split", cfg.eval_train_split))
-        if not 0.0 <= cfg.label_smoothing < 1.0:
-            raise ConfigError("label_smoothing must lie in [0, 1)")
-        if min(cfg.total_epochs, cfg.batch_size, cfg.multiplier, cfg.checkpoint_every) <= 0:
-            raise ConfigError("epochs, batch size, multiplier and checkpoint_every must be positive")
-
-        opt = dict(_take(d, "optimizer", {}))
-        _check_keys(opt, set(vars(cfg.optimizer)), "optimizer")
-        for k, v in opt.items():
-            setattr(cfg.optimizer, k, type(getattr(cfg.optimizer, k))(v))
-
-        sp = dict(_take(d, "sparsity", {}))
-        _check_keys(sp, {"target", "distribution", "keep_dense"}, "sparsity")
-        cfg.sparsity.target = float(_take(sp, "target", cfg.sparsity.target))
-        cfg.sparsity.distribution = _take(sp, "distribution", cfg.sparsity.distribution)
-        cfg.sparsity.keep_dense = tuple(_take(sp, "keep_dense", ()))
-        if not 0.0 <= cfg.sparsity.target < 1.0:
-            raise ConfigError("sparsity target must lie in [0, 1)")
-
-        for section, obj in (("gmp", cfg.gmp), ("rigl", cfg.rigl), ("acdc", cfg.acdc)):
-            sub = dict(_take(d, section, {}))
-            _check_keys(sub, set(vars(obj)), section)
-            for k, v in sub.items():
-                setattr(obj, k, v)
-
-        if "model" in d:
-            try:
-                cfg.model = ModelSpec.from_dict(d["model"])
-            except TypeError as e:
-                raise ConfigError(f"bad model spec: {e}") from e
-        if "dataset" in d:
-            try:
-                cfg.dataset = DatasetSpec.from_dict(d["dataset"])
-            except TypeError as e:
-                raise ConfigError(f"bad dataset spec: {e}") from e
-        return cfg
+        """A config from a tree; a resolved tree's `effective` block is derived, so dropped."""
+        if isinstance(d, dict):
+            d = {k: v for k, v in d.items() if k != "effective"}
+        return load_tree(ExperimentConfig, d, "config")
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
         try:
             with open(path) as f:
                 tree = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # ValueError: bad JSON or bad UTF-8
             raise ConfigError(f"cannot read config {path}: {e}") from e
-        if not isinstance(tree, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
         return ExperimentConfig.from_dict(tree)
 
 

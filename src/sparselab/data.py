@@ -47,15 +47,19 @@ class DatasetSpec:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.n_train < 1 or self.n_val < 1:
-            raise ConfigError("dataset n_train and n_val must be positive")
+        for k in ("n_train", "n_val", "classes", "dim", "seq_len"):
+            if getattr(self, k) < 1:
+                raise ConfigError(f"dataset {k} must be positive, got {getattr(self, k)}")
+        if self.vocab < 2:
+            raise ConfigError("sequence vocab must be >= 2")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
-    @staticmethod
-    def from_dict(d: dict) -> "DatasetSpec":
-        return DatasetSpec(**d)
+def _read(path: str) -> bytes:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise DataError(f"{path}: cannot read ({e.strerror})") from e
 
 
 def _read_be_u32(buf: bytes, ofs: int, path: str) -> int:
@@ -66,8 +70,7 @@ def _read_be_u32(buf: bytes, ofs: int, path: str) -> int:
 
 def load_idx(path_images: str, path_labels: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse big-endian IDX image/label files into ([0,1] floats, int labels)."""
-    with open(path_images, "rb") as f:
-        raw = f.read()
+    raw = _read(path_images)
     magic = _read_be_u32(raw, 0, path_images)
     if magic != IDX_IMAGES_MAGIC:
         raise DataError(f"{path_images}: wrong magic 0x{magic:08x}")
@@ -80,8 +83,7 @@ def load_idx(path_images: str, path_labels: str) -> tuple[np.ndarray, np.ndarray
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
     images = (pixels.astype(np.float32) / 255.0).reshape(count, rows * cols)
 
-    with open(path_labels, "rb") as f:
-        raw = f.read()
+    raw = _read(path_labels)
     magic = _read_be_u32(raw, 0, path_labels)
     if magic != IDX_LABELS_MAGIC:
         raise DataError(f"{path_labels}: wrong magic 0x{magic:08x}")
@@ -128,8 +130,6 @@ def make_blobs(spec: DatasetSpec, rng: Rng) -> Dataset:
 
 def make_sequences(spec: DatasetSpec, rng: Rng) -> Dataset:
     """Token strings labeled by which vocabulary half dominates the string."""
-    if spec.vocab < 2:
-        raise ConfigError("sequence vocab must be >= 2")
     half = spec.vocab // 2
 
     def draw(n):

@@ -55,15 +55,6 @@ def _softmax64(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def entropy(logits: np.ndarray) -> float:
-    """Shannon entropy of the softmax of one logit vector."""
-    p = _softmax64(logits)
-    if p.ndim != 1 or p.size < 2:
-        raise ShapeError("entropy expects one logit vector with C >= 2")
-    nz = p > 0.0
-    return float(-(p[nz] * np.log(p[nz])).sum())
-
-
 def mean_entropy(logits: np.ndarray) -> float:
     p = _softmax64(np.atleast_2d(logits))
     plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)

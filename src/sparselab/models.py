@@ -6,7 +6,8 @@ tapes the forward pass and returns a gradient for every parameter, masked
 or not (the optimizer decides what to ignore); `forward` skips the tape.
 
 Each architecture's facts live in one table, `ARCHS`: its parameters
-(`ParamDef`), forward pass, input dimension and whether it has dropout.
+(`ParamDef`), forward pass, input and output widths and whether it has
+dropout.
 
 Prunable parameters are exactly the weights of linear and convolution
 layers, the layers FLOPs are counted over; biases, normalization
@@ -60,60 +61,14 @@ class ModelSpec:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.dropout > 0.0 and not ARCHS[self.arch].dropout:
             raise ConfigError(f"{self.arch} has no dropout layers, so dropout must be 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "arch": self.arch,
-            "layer_dims": list(self.layer_dims),
-            "in_channels": self.in_channels,
-            "image_hw": list(self.image_hw),
-            "channels": list(self.channels),
-            "kernel": self.kernel,
-            "classes": self.classes,
-            "vocab": self.vocab,
-            "max_len": self.max_len,
-            "d_model": self.d_model,
-            "ff_dim": self.ff_dim,
-            "blocks": self.blocks,
-            "dropout": self.dropout,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        d = dict(d)
-        for key in ("layer_dims", "image_hw", "channels"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return ModelSpec(**d)
-
-
-def mlp_spec(layer_dims=(784, 256, 128, 10)) -> ModelSpec:
-    return ModelSpec(arch=MLP, layer_dims=tuple(layer_dims), classes=layer_dims[-1])
-
-
-def micro_cnn_spec(in_channels=1, image_hw=(28, 28), channels=(8, 8), classes=10) -> ModelSpec:
-    return ModelSpec(
-        arch=MICRO_CNN,
-        in_channels=in_channels,
-        image_hw=tuple(image_hw),
-        channels=tuple(channels),
-        classes=classes,
-    )
-
-
-def tiny_transformer_spec(
-    vocab=16, max_len=16, d_model=32, ff_dim=64, blocks=2, classes=2, dropout=0.0
-) -> ModelSpec:
-    return ModelSpec(
-        arch=TINY_TRANSFORMER,
-        vocab=vocab,
-        max_len=max_len,
-        d_model=d_model,
-        ff_dim=ff_dim,
-        blocks=blocks,
-        classes=classes,
-        dropout=dropout,
-    )
+        for k, v in vars(self).items():
+            sizes = v if isinstance(v, tuple) else (v,)
+            if k not in ("arch", "dropout") and any(n < 1 for n in sizes):
+                raise ConfigError(f"every model size must be at least 1, got {k} {v}")
+        if self.arch == MLP and len(self.layer_dims) < 2:
+            raise ConfigError("mlp needs at least input and output dims")
+        if self.arch == MICRO_CNN and (self.image_hw[0] % 4 or self.image_hw[1] % 4):
+            raise ConfigError("micro-cnn image sides must be divisible by 4")
 
 
 @dataclass
@@ -279,8 +234,6 @@ def _norm(layer: str, d: int, group: str) -> list[ParamDef]:
 
 def _mlp_params(s: ModelSpec) -> list[ParamDef]:
     dims = s.layer_dims
-    if len(dims) < 2:
-        raise ConfigError("mlp needs at least input and output dims")
     n_layers = len(dims) - 1
     defs = []
     for i in range(1, n_layers + 1):
@@ -297,8 +250,6 @@ def _mlp_params(s: ModelSpec) -> list[ParamDef]:
 
 def _cnn_params(s: ModelSpec) -> list[ParamDef]:
     (H, W), (c1, c2), k = s.image_hw, s.channels, s.kernel
-    if H % 4 or W % 4:
-        raise ConfigError("micro-cnn image sides must be divisible by 4")
     head_in = c2 * (H // 4) * (W // 4)
     # same-padded convolutions: conv1 runs at full resolution, conv2 after one 2x2 pool
     return (
@@ -402,17 +353,22 @@ class Architecture:
     params: Callable[[ModelSpec], list[ParamDef]]
     forward: Callable[..., Var]  # (spec, param vars, input, train, dropout rng) -> logits
     input_dim: Callable[[ModelSpec], int | None]  # None: token ids
+    output_dim: Callable[[ModelSpec], int]
     dropout: bool
 
 
 ARCHS = {
-    MLP: Architecture(_mlp_params, _forward_mlp, lambda s: s.layer_dims[0], dropout=False),
-    MICRO_CNN: Architecture(
-        _cnn_params, _forward_cnn, lambda s: s.in_channels * s.image_hw[0] * s.image_hw[1],
+    MLP: Architecture(
+        _mlp_params, _forward_mlp, lambda s: s.layer_dims[0], lambda s: s.layer_dims[-1],
         dropout=False,
     ),
+    MICRO_CNN: Architecture(
+        _cnn_params, _forward_cnn, lambda s: s.in_channels * s.image_hw[0] * s.image_hw[1],
+        lambda s: s.classes, dropout=False,
+    ),
     TINY_TRANSFORMER: Architecture(
-        _transformer_params, _forward_transformer, lambda s: None, dropout=True
+        _transformer_params, _forward_transformer, lambda s: None, lambda s: s.classes,
+        dropout=True,
     ),
 }
 

@@ -25,6 +25,7 @@ from .models import ParamStore
 LINEAR_WARMUP_DECAY = "linear-warmup-linear-decay"
 COSINE = "cosine"
 CONSTANT = "constant"
+SCHEDULES = (LINEAR_WARMUP_DECAY, COSINE, CONSTANT)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import diagnostics
 from .checkpoint import save_checkpoint
-from .config import ExperimentConfig, format_sig9
+from .config import ExperimentConfig, format_sig9, to_tree
 from .data import Dataset, build_dataset
-from .errors import ConfigError, SparselabError
+from .errors import ConfigError, ScheduleError, SparselabError
 from .models import Model, build_model
 from .optim import LrSchedule, SgdState, reset_momentum, sgd_step
 from .rng import (
@@ -384,6 +384,10 @@ def train_epochs(
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
+    try:
+        driver = _build_driver(cfg)
+    except ScheduleError as e:
+        raise ConfigError(str(e)) from e
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(
         os.path.join(out_dir, "config.resolved.json"),
@@ -405,7 +409,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
     sgd = SgdState(
         model.store, schedule, momentum=cfg.optimizer.momentum, weight_decay=cfg.optimizer.weight_decay
     )
-    driver = _build_driver(cfg)
     ctx = _RunContext(model, sgd, cfg, data)
 
     def before_epoch(epoch: int, order: np.ndarray) -> None:
@@ -444,7 +447,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
                         "train_loss_eval": rows[-1].mean_ce if cfg.eval_train_split
                             else dataset_loss(model, data.x_train, data.y_train),
                         "val_loss_eval": val_ce,
-                        "model_spec": cfg.model.to_dict(),
+                        "model_spec": to_tree(cfg.model),
                         "config": cfg.resolved(),
                     },
                     momentum=sgd.buffers,

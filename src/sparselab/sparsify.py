@@ -28,6 +28,7 @@ UNIFORM = "uniform"
 GLOBAL = "global"
 ERK = "erk"
 BLOCK4_GLOBAL = "block4-global"
+DISTRIBUTIONS = (UNIFORM, GLOBAL, ERK, BLOCK4_GLOBAL)
 
 BLOCK = 4
 

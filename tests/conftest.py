@@ -2,8 +2,49 @@ import numpy as np
 import pytest
 
 from sparselab import autodiff as ad
+from sparselab import diagnostics as dg
 from sparselab.autodiff import Var
-from sparselab.models import ParamStore
+from sparselab.errors import ShapeError
+from sparselab.models import MICRO_CNN, MLP, TINY_TRANSFORMER, ModelSpec, ParamStore
+
+
+def mlp_spec(layer_dims=(784, 256, 128, 10)) -> ModelSpec:
+    return ModelSpec(arch=MLP, layer_dims=tuple(layer_dims), classes=layer_dims[-1])
+
+
+def micro_cnn_spec(in_channels=1, image_hw=(28, 28), channels=(8, 8), classes=10) -> ModelSpec:
+    return ModelSpec(
+        arch=MICRO_CNN,
+        in_channels=in_channels,
+        image_hw=tuple(image_hw),
+        channels=tuple(channels),
+        classes=classes,
+    )
+
+
+def tiny_transformer_spec(
+    vocab=16, max_len=16, d_model=32, ff_dim=64, blocks=2, classes=2, dropout=0.0
+) -> ModelSpec:
+    return ModelSpec(
+        arch=TINY_TRANSFORMER,
+        vocab=vocab,
+        max_len=max_len,
+        d_model=d_model,
+        ff_dim=ff_dim,
+        blocks=blocks,
+        classes=classes,
+        dropout=dropout,
+    )
+
+
+def entropy(logits: np.ndarray) -> float:
+    """Shannon entropy of the softmax of one logit vector; the package
+    records only `diagnostics.mean_entropy`, so this lives with the tests."""
+    p = dg._softmax64(logits)
+    if p.ndim != 1 or p.size < 2:
+        raise ShapeError("entropy expects one logit vector with C >= 2")
+    nz = p > 0.0
+    return float(-(p[nz] * np.log(p[nz])).sum())
 
 
 def mul(a, b):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    changed_per_stage, fd_gradients, max_rel_error, num_params, record_stage_starts,
+    changed_per_stage, entropy, fd_gradients, max_rel_error, micro_cnn_spec, mlp_spec, num_params,
+    record_stage_starts, tiny_transformer_spec,
 )
 from losses import cross_entropy
 
@@ -22,7 +23,7 @@ from sparselab import diagnostics as dg
 from sparselab.checkpoint import load_checkpoint, rebuild_model, save_checkpoint
 from sparselab.config import ExperimentConfig
 from sparselab.landscape import PathSpec, interpolate_path, sharpness
-from sparselab.models import build_model, micro_cnn_spec, mlp_spec, tiny_transformer_spec
+from sparselab.models import build_model
 from sparselab.rng import Rng
 from sparselab.runner import dataset_loss, run_experiment
 from sparselab.sparsify import (
@@ -213,7 +214,7 @@ def test_criterion_4_diagnostics_oracles():
         tot = sum(exps)
         p = [e / tot for e in exps]
         h_want = -sum(pi * math.log(pi) for pi in p if pi > 0)
-        worst = max(worst, abs(dg.entropy(z) - h_want))
+        worst = max(worst, abs(entropy(z) - h_want))
         label = rng.below(c)
         ce_want = -math.log(p[label])
         worst = max(worst, abs(cross_entropy(z, label) - ce_want))

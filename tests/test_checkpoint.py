@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import clone_store
+from conftest import clone_store, micro_cnn_spec, mlp_spec, tiny_transformer_spec
 
 from sparselab.checkpoint import (
     MAGIC,
@@ -15,8 +15,9 @@ from sparselab.checkpoint import (
     save_checkpoint,
 )
 from sparselab.cli import main
+from sparselab.config import to_tree
 from sparselab.errors import CheckpointError
-from sparselab.models import build_model, micro_cnn_spec, mlp_spec, tiny_transformer_spec
+from sparselab.models import build_model
 from sparselab.rng import Rng
 from sparselab.sparsify import SparsityDistribution, magnitude_mask
 
@@ -93,7 +94,7 @@ def test_truncated_payload_rejected(tmp_path):
 def test_rebuild_model_restores_masks(tmp_path):
     model = sparse_model(seed=4)
     path = str(tmp_path / "a.splb")
-    save_checkpoint(path, model.store, {"epoch": 0, "model_spec": model.spec.to_dict()})
+    save_checkpoint(path, model.store, {"epoch": 0, "model_spec": to_tree(model.spec)})
     loaded = rebuild_model(load_checkpoint(path))
     assert loaded.spec == model.spec
     for name, entry in model.store.items():
@@ -112,7 +113,7 @@ def test_rebuild_model_restores_masks(tmp_path):
 def test_rebuild_model_draws_nothing(tmp_path, monkeypatch, spec):
     model = build_model(spec, Rng(3))
     path = str(tmp_path / "a.splb")
-    save_checkpoint(path, model.store, {"epoch": 0, "model_spec": spec.to_dict()})
+    save_checkpoint(path, model.store, {"epoch": 0, "model_spec": to_tree(spec)})
     ck = load_checkpoint(path)
 
     def no_draw(self, n):
@@ -131,7 +132,7 @@ def test_rebuilt_models_share_no_array(tmp_path):
     array would let one run train on another's weights or masks."""
     model = sparse_model(seed=5)
     path = str(tmp_path / "a.splb")
-    save_checkpoint(path, model.store, {"epoch": 0, "model_spec": model.spec.to_dict()})
+    save_checkpoint(path, model.store, {"epoch": 0, "model_spec": to_tree(model.spec)})
     ck = load_checkpoint(path)
     a, b = rebuild_model(ck), rebuild_model(ck)
     assert a.store.masks()

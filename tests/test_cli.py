@@ -139,6 +139,15 @@ def test_missing_config_exit_2(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1, 2]", b'{"seed": NaN}'])
+def test_unreadable_config_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_analyze_masks_needs_two_checkpoints(tmp_path):
     os.makedirs(tmp_path / "empty", exist_ok=True)
     assert main(["analyze-masks", str(tmp_path / "empty"), "--out", str(tmp_path / "o")]) == 2
@@ -230,7 +239,10 @@ def test_checkpoint_without_run_metadata_exit_1(tmp_path, capsys, command):
     epoch: commands that need them exit 1 with one error line and write
     nothing, while `flops` needs only the spec."""
     from sparselab.checkpoint import save_checkpoint
-    from sparselab.models import build_model, mlp_spec
+    from conftest import mlp_spec
+
+    from sparselab.config import to_tree
+    from sparselab.models import build_model
     from sparselab.rng import Rng
 
     model = build_model(mlp_spec((6, 4, 3)), Rng(0))
@@ -238,7 +250,7 @@ def test_checkpoint_without_run_metadata_exit_1(tmp_path, capsys, command):
     ckpts.mkdir()
     for epoch in (1, 2):
         save_checkpoint(str(ckpts / f"ckpt_{epoch:05d}.splb"), model.store,
-                        {"model_spec": model.spec.to_dict()})
+                        {"model_spec": to_tree(model.spec)})
     ckpt = str(ckpts / "ckpt_00001.splb")
     assert main(["flops", "--checkpoint", ckpt]) == 0
     capsys.readouterr()
@@ -249,3 +261,52 @@ def test_checkpoint_without_run_metadata_exit_1(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not os.path.exists(out)
+
+
+# Each bad value of a config, as a dotted key (a list sets several); the acdc
+# fixture supplies the rest: an MLP with 64 inputs and 10 classes on 64-dim blobs.
+BAD_CONFIGS = {
+    "phase-len-string": ({"acdc.phase_len": "x"}, 2),
+    "update-every-string": ({"method": "gmp", "gmp.update_every": "5"}, 2),
+    "alpha-string": ({"method": "rigl", "rigl.alpha": "a"}, 2),
+    "lr-string": ({"optimizer.lr": "fast"}, 2),
+    "seed-string": ({"seed": "abc"}, 2),
+    "optimizer-not-object": ({"optimizer": 3}, 2),
+    "negative-layer-width": ({"model.layer_dims": [64, -32, 10]}, 2),
+    "seed-float": ({"seed": 2.7}, 2),
+    "eval-train-split-string": ({"eval_train_split": "no"}, 2),
+    "keep-dense-string": ({"sparsity.keep_dense": "fc1.weight"}, 2),
+    "classes-string": ({"model.classes": "10"}, 2),
+    "momentum-above-one": ({"optimizer.momentum": 1.5}, 2),
+    "unknown-lr-schedule": ({"optimizer.schedule": "bogus"}, 2),
+    # GMP over 2 epochs reaches no mask update, so only a parse check sees it
+    "unknown-distribution": ({"method": "gmp", "total_epochs": 2, "gmp.update_every": 5,
+                              "sparsity.distribution": "bogus"}, 2),
+    "input-dim-mismatch": ({"dataset.dim": 32}, 2),
+    "class-count-mismatch": ({"model.layer_dims": [64, 32, 4]}, 2),
+    "acdc-too-short": ({"total_epochs": 4}, 2),
+    "gmp-ramp-reversed": ({"method": "gmp", "gmp.ramp_start": 3, "gmp.ramp_end": 2}, 2),
+    "missing-idx-file": ({"model.layer_dims": [784, 32, 10], "dataset": {
+        "kind": "idx-images", "images_path": "missing-images.idx",
+        "labels_path": "missing-labels.idx"}}, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CONFIGS))
+def test_bad_config_one_error_line(tmp_path, capsys, name):
+    """A bad config value ends in one `error:` line and exit 2 (before the
+    output directory is made) or 1, never in a traceback or a run."""
+    overrides, code = BAD_CONFIGS[name]
+    tree = acdc_tree()
+    for dotted, value in overrides.items():
+        *parents, key = dotted.split(".")
+        node = tree
+        for p in parents:
+            node = node.setdefault(p, {})
+        node[key] = value
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", write_cfg(tmp_path, "cfg.json", tree), "--out", out]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if code == 2:
+        assert not os.path.exists(out)

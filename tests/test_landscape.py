@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import model_loss, num_params
+from conftest import mlp_spec, model_loss, num_params
 
 from sparselab.errors import ShapeError
 from sparselab.landscape import PathSpec, hvp, interpolate_path, sharpness
-from sparselab.models import build_model, mlp_spec
+from sparselab.models import build_model
 from sparselab.rng import Rng
 
 

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import fd_gradients, max_rel_error, mul, num_params
+from conftest import (
+    fd_gradients, max_rel_error, micro_cnn_spec, mlp_spec, mul, num_params, tiny_transformer_spec,
+)
 
 from sparselab import autodiff as ad
 from sparselab.errors import NonFiniteError, ShapeError
-from sparselab.models import (
-    ParamStore,
-    build_model,
-    micro_cnn_spec,
-    mlp_spec,
-    tiny_transformer_spec,
-)
+from sparselab.models import ParamStore, build_model
 from sparselab.rng import Rng
 
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import clone_store
+from conftest import clone_store, tiny_transformer_spec
 from sparselab import runner
 from sparselab.config import ExperimentConfig
 from sparselab.data import DatasetSpec, build_dataset
 from sparselab.errors import NonFiniteError, ScheduleError
-from sparselab.models import ParamStore, build_model, tiny_transformer_spec
+from sparselab.models import ParamStore, build_model
 from sparselab.optim import LrSchedule, SgdState, lr_at, reset_momentum, sgd_step
 from sparselab.rng import STREAM_DATA, Rng
 from sparselab.sparsify import SparsityDistribution, magnitude_mask

@@ -3,12 +3,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import golden_digests
+from conftest import mlp_spec
 
 from sparselab.checkpoint import load_checkpoint, rebuild_model
 from sparselab.config import ExperimentConfig
 from sparselab.data import build_dataset
 from sparselab.errors import ConfigError
-from sparselab.models import build_model, mlp_spec
+from sparselab.models import build_model
 from sparselab.rng import STREAM_DATA, Rng
 from sparselab.runner import (
     EVAL_CHUNK,
@@ -169,12 +173,83 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"method": "magic"})
 
 
-def test_resolved_config_self_describing(tmp_path):
-    cfg = fixture_cfg("dense_smoke.json")
+def _config_trees() -> dict[str, dict]:
+    """Every experiment tree in `fixtures/` and in `golden_digests.py`."""
+    trees = {}
+    for name in ("acdc_blobs", "dense_smoke", "sweep_grid"):
+        with open(os.path.join(FIXTURES, f"{name}.json")) as f:
+            tree = json.load(f)
+        trees[name] = tree.get("base", tree)
+    for name in ("RIGL_MLP", "CNN_ACDC", "TRANSFORMER", "ONESHOT_MLP", "SWEEP"):
+        tree = getattr(golden_digests, name)
+        trees[name] = tree.get("base", tree)
+    return trees
+
+
+CONFIG_TREES = _config_trees()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_TREES))
+def test_resolved_config_self_describing(tmp_path, name):
+    cfg = ExperimentConfig.from_dict(CONFIG_TREES[name])
     res = run_experiment(cfg, str(tmp_path / "run"))
     tree = json.load(open(os.path.join(res.out_dir, "config.resolved.json")))
     rebuilt = ExperimentConfig.from_dict(tree)
     assert rebuilt.resolved() == cfg.resolved()
+
+
+# JSON scalars and containers of the wrong shape for most fields
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1000, 1000), st.text(max_size=6),
+    st.floats(-1e6, 1e6, allow_nan=False), st.lists(st.integers(-5, 100), max_size=4),
+    st.just({}),
+)
+
+
+def _paths(tree: dict, prefix=()):
+    for key, value in tree.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_trees(draw):
+    tree = json.loads(json.dumps(CONFIG_TREES[draw(st.sampled_from(sorted(CONFIG_TREES)))]))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(tree))
+        *parents, key = draw(st.sampled_from(paths)) if paths else ("seed",)
+        node = tree
+        for p in parents:
+            node = node[p]
+        action = draw(st.sampled_from(["leaf", "drop", "anchor", "unknown", "section"]))
+        if action == "leaf":
+            node[key] = draw(_JSON_LEAVES)
+        elif action == "drop":
+            node.pop(key)
+        elif action == "anchor":
+            section, anchor = draw(st.sampled_from([("model", "arch"), ("dataset", "kind")]))
+            if isinstance(tree.get(section), dict):
+                tree[section].pop(anchor, None)
+        elif action == "unknown":
+            node[draw(st.text(min_size=1, max_size=8))] = draw(_JSON_LEAVES)
+        else:
+            section = draw(st.sampled_from(
+                ["optimizer", "sparsity", "gmp", "rigl", "acdc", "model", "dataset"]))
+            tree[section] = draw(_JSON_LEAVES)
+    return tree
+
+
+@given(tree=_mutated_trees())
+@settings(max_examples=300, deadline=None)
+def test_mutated_config_rejected_or_round_trips(tree):
+    """A mutated config either raises ConfigError or resolves to a tree that
+    loads back to the same config; nothing here trains."""
+    try:
+        cfg = ExperimentConfig.from_dict(tree)
+    except ConfigError:
+        return
+    assert ExperimentConfig.from_dict(cfg.resolved()).resolved() == cfg.resolved()
 
 
 def test_expand_grid_order():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import changed_per_stage, record_stage_starts
+from conftest import changed_per_stage, mlp_spec, record_stage_starts, tiny_transformer_spec
 from sparselab.data import DatasetSpec, build_dataset
 from sparselab.errors import ConfigError
-from sparselab.models import build_model, mlp_spec, tiny_transformer_spec
+from sparselab.models import build_model
 from sparselab.rng import Rng, STREAM_DATA
 from sparselab.sparsify import SparsityDistribution, magnitude_mask
 from sparselab.transfer import (

@@ -34,6 +34,8 @@ _hints = functools.cache(typing.get_type_hints)
 
 
 def _round_epochs(x: float) -> int:
+    if not math.isfinite(x):
+        raise ConfigError(f"an epoch count times the multiplier overflows to {x}")
     return int(math.floor(x + 0.5))
 
 
@@ -51,10 +53,11 @@ def _load(tp, value, where: str):
             size = f" of {len(args)} items" if fixed else ""
             raise ConfigError(f"{where} must be a list{size}, got {value!r}")
         return tuple(_load(args[i if fixed else 0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    number = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if isinstance(value, bool) == (tp is bool):
-        if tp is float and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+        if tp is float and number:
             return float(value)
-        if tp is not float and isinstance(value, tp):
+        if tp is not float and isinstance(value, tp) and (number or tp is not int):
             return value
     raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
 

@@ -505,8 +505,10 @@ def run_sweep(base: dict, grid: dict[str, list], out_dir: str) -> dict:
     SPARSELAB_THREADS caps parallelism (default 1). The summary reports the
     mean final top-1 over the two best runs.
     """
-    os.makedirs(out_dir, exist_ok=True)
     runs = expand_grid(base, grid)
+    for _, tree in runs:  # a bad run config fails the sweep before anything is written
+        ExperimentConfig.from_dict(tree)
+    os.makedirs(out_dir, exist_ok=True)
     jobs = [(tree, os.path.join(out_dir, name)) for name, tree in runs]
     threads = int(os.environ.get("SPARSELAB_THREADS", "1"))
     if threads > 1:

@@ -128,6 +128,14 @@ def test_invalid_config_exit_2(tmp_path):
     assert main(["train", "--config", bad, "--out", str(tmp_path / "x")]) == 2
 
 
+def test_sweep_with_a_bad_run_config_exit_2(tmp_path):
+    tree = json.load(open(os.path.join(FIXTURES, "sweep_grid.json")))
+    tree["grid"]["eval_train_split"] = [False, "no"]
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--grid", write_cfg(tmp_path, "grid.json", tree), "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
 def test_unknown_subcommand_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -286,6 +294,8 @@ BAD_CONFIGS = {
     "class-count-mismatch": ({"model.layer_dims": [64, 32, 4]}, 2),
     "acdc-too-short": ({"total_epochs": 4}, 2),
     "gmp-ramp-reversed": ({"method": "gmp", "gmp.ramp_start": 3, "gmp.ramp_end": 2}, 2),
+    "multiplier-overflow": ({"multiplier": 1e308}, 2),
+    "epochs-beyond-float": ({"total_epochs": 10**400}, 2),
     "missing-idx-file": ({"model.layer_dims": [784, 32, 10], "dataset": {
         "kind": "idx-images", "images_path": "missing-images.idx",
         "labels_path": "missing-labels.idx"}}, 1),

@@ -53,12 +53,12 @@ def _load(tp, value, where: str):
             size = f" of {len(args)} items" if fixed else ""
             raise ConfigError(f"{where} must be a list{size}, got {value!r}")
         return tuple(_load(args[i if fixed else 0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    number = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if isinstance(value, bool) == (tp is bool):
-        if tp is float and number:
-            return float(value)
-        if tp is not float and isinstance(value, tp) and (number or tp is not int):
-            return value
+    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)  # finite; a bool is no number
+    if tp is float and number:
+        return float(value)
+    if tp is int and number and isinstance(value, int) or tp in (bool, str) and isinstance(value, tp):
+        return value
     raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
 
 
@@ -176,7 +176,7 @@ class ExperimentConfig:
             n_in, n_out = arch.input_dim(self.model), arch.output_dim(self.model)
             if n_in not in (None, data.dim) or n_out != data.classes:
                 raise ConfigError(
-                    f"model maps {n_in} inputs to {n_out} classes, but the dataset has "
+                    f"model maps {n_in or 'token'} inputs to {n_out} classes, but the dataset has "
                     f"dim {data.dim} and {data.classes} classes"
                 )
 

@@ -31,6 +31,7 @@ from .sparsify import DISTRIBUTIONS
 METHODS = ("dense", "gmp", "rigl", "acdc", "oneshot")
 
 _hints = functools.cache(typing.get_type_hints)
+_fields = functools.cache(dataclasses.fields)  # per class; each call would build a new tuple
 
 
 def _round_epochs(x: float) -> int:
@@ -71,7 +72,7 @@ def load_tree(cls, tree, where: str):
     unknown = set(tree) - set(hints)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    for f in dataclasses.fields(cls):
+    for f in _fields(cls):
         if f.name not in tree and f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{where}.{f.name} is required")
     return cls(**{k: _load(hints[k], v, f"{where}.{k}") for k, v in tree.items()})
@@ -80,7 +81,7 @@ def load_tree(cls, tree, where: str):
 def to_tree(obj):
     """The JSON tree of a config dataclass, the inverse of `load_tree`."""
     if dataclasses.is_dataclass(obj):
-        return {f.name: to_tree(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: to_tree(getattr(obj, f.name)) for f in _fields(type(obj))}
     if isinstance(obj, tuple):
         return [to_tree(v) for v in obj]
     return obj

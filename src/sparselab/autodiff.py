@@ -275,12 +275,10 @@ def avg_pool2d(x: Var) -> Var:
     return Var(out, (x,), back)
 
 
-def dropout(x: Var, p: float, uniforms: np.ndarray) -> Var:
-    """Inverted dropout; `uniforms` supplies one draw per element."""
-    keep = (uniforms.reshape(x.value.shape) >= p).astype(x.value.dtype) / x.value.dtype.type(
-        1.0 - p
-    )
-    return Var(x.value * keep, (x,), lambda g: (g * keep,))
+def dropout(x: Var, p: float, keep: np.ndarray) -> Var:
+    """Inverted dropout at rate p; `keep` holds one bool flag per element."""
+    scale = keep.reshape(x.value.shape).astype(x.value.dtype) / x.value.dtype.type(1.0 - p)
+    return Var(x.value * scale, (x,), lambda g: (g * scale,))
 
 
 def cross_entropy_mean(logits: Var, labels: np.ndarray, eps: float = 0.0) -> Var:

@@ -6,8 +6,8 @@ tapes the forward pass and returns a gradient for every parameter, masked
 or not (the optimizer decides what to ignore); `forward` skips the tape.
 
 Each architecture's facts live in one table, `ARCHS`: its parameters
-(`ParamDef`), forward pass, input and output widths and whether it has
-dropout.
+(`ParamDef`), forward pass, input and output widths and how many dropout
+keep flags a training step draws per input row.
 
 Prunable parameters are exactly the weights of linear and convolution
 layers, the layers FLOPs are counted over; biases, normalization
@@ -59,12 +59,12 @@ class ModelSpec:
             raise ConfigError(f"unknown architecture {self.arch!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.dropout > 0.0 and not ARCHS[self.arch].dropout:
-            raise ConfigError(f"{self.arch} has no dropout layers, so dropout must be 0")
         for k, v in vars(self).items():
             sizes = v if isinstance(v, tuple) else (v,)
             if k not in ("arch", "dropout") and any(n < 1 for n in sizes):
                 raise ConfigError(f"every model size must be at least 1, got {k} {v}")
+        if self.dropout > 0.0 and not ARCHS[self.arch].dropout_draws(self, (1,)):
+            raise ConfigError(f"{self.arch} has no dropout layers, so dropout must be 0")
         if self.arch == MLP and len(self.layer_dims) < 2:
             raise ConfigError("mlp needs at least input and output dims")
         if self.arch == MICRO_CNN and (self.image_hw[0] % 4 or self.image_hw[1] % 4):
@@ -172,17 +172,11 @@ class Model:
         arrays = self.store.weight_arrays() if params is None else params
         return {name: Var(arr) for name, arr in arrays.items()}
 
-    def forward(
-        self,
-        x: np.ndarray,
-        *,
-        params: dict[str, np.ndarray] | None = None,
-        train: bool = False,
-        dropout_rng: Rng | None = None,
-    ) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, params: dict[str, np.ndarray] | None = None) -> np.ndarray:
+        """Evaluation logits: no dropout."""
         pv = self._param_vars(params)
         with ad.no_tape():
-            logits = ARCHS[self.spec.arch].forward(self.spec, pv, x, train, dropout_rng)
+            logits = ARCHS[self.spec.arch].forward(self.spec, pv, x, None)
         ad.check_finite(logits.value, "logits")
         return logits.value
 
@@ -193,12 +187,13 @@ class Model:
         *,
         eps: float = 0.0,
         params: dict[str, np.ndarray] | None = None,
-        train: bool = False,
-        dropout_rng: Rng | None = None,
+        keep: np.ndarray | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Loss plus one gradient tensor per parameter (dense, mask ignored)."""
+        """Loss plus one gradient tensor per parameter (dense, mask ignored).
+        `keep` holds the step's dropout keep flags, `dropout_draws` per row of
+        `x`; None trains without dropout."""
         pv = self._param_vars(params)
-        logits = ARCHS[self.spec.arch].forward(self.spec, pv, x, train, dropout_rng)
+        logits = ARCHS[self.spec.arch].forward(self.spec, pv, x, keep)
         loss = ad.cross_entropy_mean(logits, labels, eps)
         ad.check_finite(loss.value, "loss")
         ad.backward(loss)
@@ -282,7 +277,7 @@ def _transformer_params(s: ModelSpec) -> list[ParamDef]:
     )
 
 
-def _forward_mlp(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, train, dropout_rng) -> Var:
+def _forward_mlp(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, keep) -> Var:
     dims = s.layer_dims
     x = np.ascontiguousarray(x, dtype=pv["fc1.weight"].value.dtype)
     if x.ndim != 2 or x.shape[1] != dims[0]:
@@ -296,7 +291,7 @@ def _forward_mlp(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, train, dropout
     return h
 
 
-def _forward_cnn(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, train, dropout_rng) -> Var:
+def _forward_cnn(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, keep) -> Var:
     H, W = s.image_hw
     x = np.ascontiguousarray(x, dtype=pv["conv1.weight"].value.dtype)
     if x.ndim == 2:
@@ -312,19 +307,15 @@ def _forward_cnn(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, train, dropout
     return ad.add(ad.matmul(h, pv["head.weight"]), pv["head.bias"])
 
 
-def _forward_transformer(
-    s: ModelSpec, pv: dict[str, Var], ids: np.ndarray, train: bool, dropout_rng: Rng | None
-) -> Var:
+def _forward_transformer(s: ModelSpec, pv: dict[str, Var], ids: np.ndarray, keep) -> Var:
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[1] > s.max_len:
         raise ShapeError(f"token input {ids.shape}, max_len {s.max_len}")
     T = ids.shape[1]
     h = ad.add(ad.embedding(pv["tok_emb.weight"], ids), ad.take_rows(pv["pos_emb.weight"], T))
     inv_sqrt_d = 1.0 / math.sqrt(s.d_model)
-    use_dropout = train and s.dropout > 0.0 and dropout_rng is not None
-    if use_dropout:
-        # one request for the step's 2 sites per block, each site's row in forward order
-        draws = dropout_rng.uniforms(2 * s.blocks * h.value.size).reshape(2 * s.blocks, -1)
+    if keep is not None:  # the 2 sites per block, each site's row in forward order
+        keep = keep.reshape(2 * s.blocks, -1)
     for i in range(1, s.blocks + 1):
         b = f"block{i}"
         pre = ad.layer_norm(h, pv[f"{b}.ln1.scale"], pv[f"{b}.ln1.bias"])
@@ -334,14 +325,14 @@ def _forward_transformer(
         attn = ad.softmax_last(ad.scale(ad.matmul(q, ad.swap_last2(k)), inv_sqrt_d))
         ctx = ad.matmul(attn, v)
         proj = ad.add(ad.matmul(ctx, pv[f"{b}.attn.wo.weight"]), pv[f"{b}.attn.wo.bias"])
-        if use_dropout:
-            proj = ad.dropout(proj, s.dropout, draws[2 * i - 2])
+        if keep is not None:
+            proj = ad.dropout(proj, s.dropout, keep[2 * i - 2])
         h = ad.add(h, proj)
         pre2 = ad.layer_norm(h, pv[f"{b}.ln2.scale"], pv[f"{b}.ln2.bias"])
         f1 = ad.relu(ad.add(ad.matmul(pre2, pv[f"{b}.ff.w1.weight"]), pv[f"{b}.ff.w1.bias"]))
         f2 = ad.add(ad.matmul(f1, pv[f"{b}.ff.w2.weight"]), pv[f"{b}.ff.w2.bias"])
-        if use_dropout:
-            f2 = ad.dropout(f2, s.dropout, draws[2 * i - 1])
+        if keep is not None:
+            f2 = ad.dropout(f2, s.dropout, keep[2 * i - 1])
         h = ad.add(h, f2)
     h = ad.layer_norm(h, pv["final_ln.scale"], pv["final_ln.bias"])
     pooled = ad.mean_axis(h, 1)
@@ -351,24 +342,27 @@ def _forward_transformer(
 @dataclass(frozen=True)
 class Architecture:
     params: Callable[[ModelSpec], list[ParamDef]]
-    forward: Callable[..., Var]  # (spec, param vars, input, train, dropout rng) -> logits
+    forward: Callable[..., Var]  # (spec, param vars, input, keep flags or None) -> logits
     input_dim: Callable[[ModelSpec], int | None]  # None: token ids
     output_dim: Callable[[ModelSpec], int]
-    dropout: bool
+    # (spec, shape of one input row) -> dropout keep flags a training step
+    # draws per row; 0 without dropout
+    dropout_draws: Callable[[ModelSpec, tuple[int, ...]], int]
 
 
 ARCHS = {
     MLP: Architecture(
         _mlp_params, _forward_mlp, lambda s: s.layer_dims[0], lambda s: s.layer_dims[-1],
-        dropout=False,
+        lambda s, row: 0,
     ),
     MICRO_CNN: Architecture(
         _cnn_params, _forward_cnn, lambda s: s.in_channels * s.image_hw[0] * s.image_hw[1],
-        lambda s: s.classes, dropout=False,
+        lambda s: s.classes, lambda s, row: 0,
     ),
     TINY_TRANSFORMER: Architecture(
         _transformer_params, _forward_transformer, lambda s: None, lambda s: s.classes,
-        dropout=True,
+        # 2 sites per block, each d_model flags per token
+        lambda s, row: 2 * s.blocks * s.d_model * row[0] if s.dropout > 0.0 else 0,
     ),
 }
 

@@ -20,6 +20,10 @@ measured size where the bulk path starts to win. The scalar path serves
 small requests and is the tests' oracle for the bulk path: every seeded
 output is byte-identical whichever path draws it, and tests/test_rng.py
 checks both paths against the published C code.
+
+Dropout. The training loop draws a whole epoch's dropout keep flags in one
+`uniforms(n, at_least=p)` request: the flags `uniforms(n) >= p`, compared on
+the integers the uniforms come from, so no float array is built.
 """
 
 from __future__ import annotations
@@ -152,11 +156,12 @@ class Rng:
         """Uniform f64 in [0, 1) from the high 53 bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def _bulk(self, out: np.ndarray) -> int:
-        """Fills out[:L*K] with the next L*K outputs, as `uniform` floats when
-        `out` is float64 and as raw uint64 otherwise, and leaves the state
-        where that many `next_u64` calls would. Returns L*K; the caller draws
-        the rest with the scalar path."""
+    def _bulk(self, out: np.ndarray, thr: int = 0) -> int:
+        """Fills out[:L*K] with the next L*K outputs, as raw uint64 when `out`
+        is uint64, as `uniform` floats when it is float64 and as the flags
+        `u >> 11 >= thr` when it is bool, and leaves the state where that
+        many `next_u64` calls would. Returns L*K; the caller draws the rest
+        with the scalar path."""
         n = len(out)
         # lane spacing K = 2^k near sqrt(n): set-up grows with the lane count
         # L, stepping with K
@@ -173,7 +178,10 @@ class Rng:
         buf, tmp = np.empty((2, rows, L), dtype=np.uint64)
         dest = out[: L * K].reshape(L, K)
         # numpy scalars: a Python int operand costs a conversion per call
-        c5, c7, c9, c17, c19, c45, c57 = (np.uint64(c) for c in (5, 7, 9, 17, 19, 45, 57))
+        c5, c7, c9, c11, c17, c19, c45, c57 = (
+            np.uint64(c) for c in (5, 7, 9, 11, 17, 19, 45, 57)
+        )
+        thr = np.uint64(thr)
         for t0 in range(0, K, rows):
             block = buf[: K - t0]
             for r in block:  # keep s1, then step: the outputs are a function of s1
@@ -192,21 +200,36 @@ class Rng:
             block |= shifted
             block *= c9
             cols = dest[:, t0 : t0 + len(block)]
-            if out.dtype == np.float64:
-                block >>= np.uint64(11)
-                np.multiply(block.T, 1.0 / (1 << 53), out=cols)
-            else:
+            if out.dtype == np.uint64:
                 np.copyto(cols, block.T)
+                continue
+            block >>= c11
+            if out.dtype == bool:
+                np.greater_equal(block.T, thr, out=cols)
+            else:
+                np.multiply(block.T, 1.0 / (1 << 53), out=cols)
         self._s = [int(w) for w in S[:, -1]]
         return L * K
 
-    def uniforms(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.float64)
-        done = self._bulk(out) if n >= _BULK_MIN else 0
+    def uniforms(self, n: int, at_least: float | None = None) -> np.ndarray:
+        """n `uniform` floats; given `at_least`, the bool flags of the same
+        draws `uniforms(n) >= at_least`. A uniform is x * 2^-53 for an integer
+        x < 2^53, and x * 2^-53 >= p exactly when x >= ceil(p * 2^53), where
+        the product is exact, so the flags are computed on the integers."""
+        if at_least is None:
+            out, thr = np.empty(n, dtype=np.float64), 0
+        else:
+            out = np.empty(n, dtype=bool)
+            thr = min(max(math.ceil(at_least * (1 << 53)), 0), 1 << 53)
+        done = self._bulk(out, thr) if n >= _BULK_MIN else 0
         nxt = self.next_u64
-        scale = 1.0 / (1 << 53)
-        for i in range(done, n):
-            out[i] = (nxt() >> 11) * scale
+        if at_least is None:
+            scale = 1.0 / (1 << 53)
+            for i in range(done, n):
+                out[i] = (nxt() >> 11) * scale
+        else:
+            for i in range(done, n):
+                out[i] = (nxt() >> 11) >= thr
         return out
 
     def normals(self, n: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, format_sig9, to_tree
 from .data import Dataset, build_dataset
 from .errors import ConfigError, ScheduleError, SparselabError
-from .models import Model, build_model
+from .models import ARCHS, Model, build_model
 from .optim import LrSchedule, SgdState, reset_momentum, sgd_step
 from .rng import (
     Rng,
@@ -362,20 +362,27 @@ def train_epochs(
     """Minibatch SGD over `data`'s train split, from step 0 of `sgd`'s schedule.
 
     Each epoch draws a permutation, calls `before_epoch(epoch, order)` if
-    given, then takes one `sgd_step` per minibatch. After each epoch it
-    yields (epoch, steps taken so far, mean train loss over the epoch).
+    given, draws the epoch's dropout keep flags in one request, then takes
+    one `sgd_step` per minibatch. A minibatch's flags are the contiguous
+    slab for its rows, so the stream is the one that per-step requests would
+    draw, and each epoch advances it by exactly `dropout_draws` per row.
+    After each epoch it yields (epoch, steps taken so far, mean train loss
+    over the epoch).
     """
     n = len(data.x_train)
+    r = ARCHS[model.spec.arch].dropout_draws(model.spec, data.x_train.shape[1:])
     step = 0
     for epoch in range(epochs):
         order = shuffle_rng.permutation(n)
         if before_epoch is not None:
             before_epoch(epoch, order)
+        keep = dropout_rng.uniforms(r * n, at_least=model.spec.dropout) if r else None
         loss_sum = 0.0
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             loss, grads = model.loss_and_grad(
-                data.x_train[idx], data.y_train[idx], eps=eps, train=True, dropout_rng=dropout_rng
+                data.x_train[idx], data.y_train[idx], eps=eps,
+                keep=None if keep is None else keep[start * r : (start + idx.size) * r],
             )
             sgd_step(model.store, grads, sgd, step)
             step += 1

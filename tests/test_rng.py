@@ -175,3 +175,59 @@ def test_interleaved_calls_leave_the_same_state(seed, calls):
 
     for (x, sx), (y, sy) in zip(play(), scalar(play)):
         assert np.array_equal(x, y) and sx == sy
+
+
+# -- dropout keep flags: uniforms(n, at_least=p) -----------------------------------
+
+# 0.0, 0.5 and 1 - 2^-53 (which keeps only the largest uniform) sit on a
+# uniform; 0.1, 0.3 and 1e-20 have a fractional p * 2^53, so the integer
+# threshold rounds up.
+RATES = [0.0, 0.1, 0.5, 1.0 - 2.0**-53, 0.3, 1e-20]
+
+
+def _keep(seed: int, n: int, p: float):
+    r = Rng(seed)
+    return r.uniforms(n, at_least=p), r._s
+
+
+def _compared(seed: int, n: int, p: float):
+    r = Rng(seed)
+    return r.uniforms(n) >= p, r._s
+
+
+def _assert_flags(got, want):
+    assert got[0].dtype == bool and np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
+def test_rates_include_fractional_thresholds():
+    assert [p for p in RATES if (p * 2.0**53) % 1] == [0.1, 0.3, 1e-20]
+
+
+@pytest.mark.parametrize("p", RATES)
+@pytest.mark.parametrize(
+    "n, threshold", [(n, 0) for n in FORCED] + [(n, THRESHOLD) for n in ROUTED]
+)
+def test_keep_flags_equal_compared_uniforms_at_edge_lengths(n, threshold, p):
+    with bulk_min(threshold):
+        got = _keep(2024, n, p)
+        _assert_flags(got, _compared(2024, n, p))
+    _assert_flags(got, scalar(lambda: _compared(2024, n, p)))
+
+
+@pytest.mark.parametrize("i", [7, 4099])  # on the bulk path, in the scalar tail
+def test_keep_flags_at_the_rate(i):
+    """A uniform equal to the rate is kept; at the next float up it is dropped."""
+    u = Rng(5).uniforms(4100)
+    assert Rng(5).uniforms(4100, at_least=float(u[i]))[i]
+    assert not Rng(5).uniforms(4100, at_least=float(np.nextafter(u[i], 1.0)))[i]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 3000),
+       p=st.floats(0.0, 1.0, exclude_max=True), odd=st.booleans())
+def test_keep_flags_equal_compared_uniforms_across_seeds(seed, n, p, odd):
+    n = n | 1 if odd else n
+    with bulk_min(0):
+        got = _keep(seed, n, p)
+    _assert_flags(got, scalar(lambda: _compared(seed, n, p)))

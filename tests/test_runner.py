@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden_digests
-from conftest import mlp_spec
+from conftest import mlp_spec, tiny_transformer_spec
 
 from sparselab.checkpoint import load_checkpoint, rebuild_model
 from sparselab.config import ExperimentConfig
-from sparselab.data import build_dataset
+from sparselab.data import DatasetSpec, build_dataset
 from sparselab.errors import ConfigError
-from sparselab.models import build_model
-from sparselab.rng import STREAM_DATA, Rng
+from sparselab.models import ARCHS, build_model
+from sparselab.optim import LrSchedule, SgdState
+from sparselab.rng import STREAM_DATA, STREAM_DROPOUT, STREAM_INIT, STREAM_SHUFFLE, Rng
 from sparselab.runner import (
     EVAL_CHUNK,
     dataset_loss,
@@ -21,6 +22,7 @@ from sparselab.runner import (
     predict_logits,
     run_experiment,
     run_sweep,
+    train_epochs,
 )
 from sparselab.sparsify import COMPRESSED, AcdcSchedule, acdc_phases
 
@@ -356,3 +358,38 @@ def test_checkpoint_losses_equal_fresh_dataset_loss(tmp_path, eval_train_split):
         model = rebuild_model(ck)
         assert ck.meta["val_loss_eval"] == dataset_loss(model, data.x_val, data.y_val)
         assert ck.meta["train_loss_eval"] == dataset_loss(model, data.x_train, data.y_train)
+
+
+def test_each_epoch_advances_the_dropout_stream_by_a_fixed_count():
+    """An epoch draws its dropout keep flags in one request of draws-per-row
+    times n_train, and each step's slab equals what a request per step would
+    draw; so after epoch N the stream stands N x draws-per-row x n_train
+    draws from its start, whatever the batch size."""
+    seq_len, n, batch, epochs, p = 6, 50, 16, 3, 0.2  # the last minibatch has 2 rows
+    spec = tiny_transformer_spec(vocab=8, max_len=10, d_model=8, ff_dim=12, dropout=p)
+    data = build_dataset(DatasetSpec(kind="synthetic-sequences", n_train=n, n_val=16, vocab=8,
+                                     seq_len=seq_len), Rng(3).stream(STREAM_DATA))
+    model = build_model(spec, Rng(3).stream(STREAM_INIT))
+    r = 2 * spec.blocks * spec.d_model * seq_len  # 2 sites per block, d_model flags per token
+    assert ARCHS[spec.arch].dropout_draws(spec, data.x_train.shape[1:]) == r
+
+    step_flags = []
+    loss_and_grad = model.loss_and_grad
+
+    def recording(x, y, **kwargs):
+        step_flags.append(kwargs["keep"])
+        return loss_and_grad(x, y, **kwargs)
+
+    model.loss_and_grad = recording
+    sgd = SgdState(model.store, LrSchedule(peak=0.05, total_steps=epochs * 4))
+    dropout_rng, fresh = Rng(3).stream(STREAM_DROPOUT), Rng(3).stream(STREAM_DROPOUT)
+    for _ in train_epochs(model, data, sgd, epochs, batch, 0.0, Rng(3).stream(STREAM_SHUFFLE),
+                          dropout_rng):
+        for _ in range(r * n):
+            fresh.next_u64()
+        assert dropout_rng._s == fresh._s
+
+    assert [k.size for k in step_flags] == [r * 16, r * 16, r * 16, r * 2] * epochs
+    per_step = Rng(3).stream(STREAM_DROPOUT)
+    for keep in step_flags:
+        assert np.array_equal(keep, per_step.uniforms(keep.size) >= p)

@@ -131,6 +131,10 @@ class RiglCfg:
     t_end: int | None = None  # default: 75% of effective total
     delta_t: int = 1
 
+    def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"rigl.alpha must lie in [0, 1], got {self.alpha}")
+
 
 @dataclass
 class AcdcCfg:
@@ -173,6 +177,13 @@ class ExperimentConfig:
                 "must be positive"
             )
         arch, data = ARCHS[self.model.arch], self.dataset
+        prunable = {d.name for d in arch.params(self.model) if d.prunable}
+        unknown = [n for n in self.sparsity.keep_dense if n not in prunable]
+        if unknown:
+            raise ConfigError(
+                f"sparsity.keep_dense names no prunable weight of the model: {unknown}, "
+                f"expected some of {sorted(prunable)}"
+            )
         if data.kind == "synthetic-blobs":
             n_in, n_out = arch.input_dim(self.model), arch.output_dim(self.model)
             if n_in not in (None, data.dim) or n_out != data.classes:

@@ -277,6 +277,8 @@ BAD_CONFIGS = {
     "phase-len-string": ({"acdc.phase_len": "x"}, 2),
     "update-every-string": ({"method": "gmp", "gmp.update_every": "5"}, 2),
     "alpha-string": ({"method": "rigl", "rigl.alpha": "a"}, 2),
+    "alpha-negative": ({"method": "rigl", "rigl.alpha": -0.5}, 2),
+    "alpha-above-one": ({"method": "rigl", "rigl.alpha": 1.5}, 2),
     "lr-string": ({"optimizer.lr": "fast"}, 2),
     "seed-string": ({"seed": "abc"}, 2),
     "optimizer-not-object": ({"optimizer": 3}, 2),
@@ -284,6 +286,8 @@ BAD_CONFIGS = {
     "seed-float": ({"seed": 2.7}, 2),
     "eval-train-split-string": ({"eval_train_split": "no"}, 2),
     "keep-dense-string": ({"sparsity.keep_dense": "fc1.weight"}, 2),
+    "keep-dense-unknown-layer": ({"sparsity.keep_dense": ["fc9.weight"]}, 2),
+    "keep-dense-bias": ({"sparsity.keep_dense": ["fc1.bias"]}, 2),
     "classes-string": ({"model.classes": "10"}, 2),
     "momentum-above-one": ({"optimizer.momentum": 1.5}, 2),
     "unknown-lr-schedule": ({"optimizer.schedule": "bogus"}, 2),

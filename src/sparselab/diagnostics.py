@@ -1,5 +1,5 @@
-"""Measurement formulas: entropy, confidence, mask IoU, channel sparsity,
-FLOPs accounting, and the average-increase-in-error transfer metric.
+"""Measurement formulas: entropy, confidence, mask IoU, channel sparsity
+and FLOPs accounting.
 
 Everything here is pure, computed at f64 regardless of model dtype, and
 always on raw logits (label smoothing never reaches diagnostics).
@@ -145,17 +145,6 @@ def flops(model) -> tuple[int, float]:
     layers = flops_by_layer(model)
     dense_total = sum(f for _, f, _ in layers)
     return dense_total, sum(density * f for _, f, density in layers) / dense_total
-
-
-def aie(err_model: np.ndarray, err_base: np.ndarray) -> float:
-    """Average increase in error: mean over tasks of (err_m - err_b)/err_b."""
-    em = np.asarray(err_model, dtype=np.float64)
-    eb = np.asarray(err_base, dtype=np.float64)
-    if em.shape != eb.shape or em.size == 0:
-        raise ShapeError("AIE needs matching non-empty error vectors")
-    if np.any(eb <= 0.0):
-        raise DataError("AIE undefined for non-positive baseline error")
-    return float(((em - eb) / eb).mean())
 
 
 def zero_fraction(weights: dict[str, np.ndarray]) -> float:

@@ -4,7 +4,7 @@ import pytest
 from sparselab import autodiff as ad
 from sparselab import diagnostics as dg
 from sparselab.autodiff import Var
-from sparselab.errors import ShapeError
+from sparselab.errors import DataError, ShapeError
 from sparselab.models import MICRO_CNN, MLP, TINY_TRANSFORMER, ModelSpec, ParamStore
 
 
@@ -45,6 +45,18 @@ def entropy(logits: np.ndarray) -> float:
         raise ShapeError("entropy expects one logit vector with C >= 2")
     nz = p > 0.0
     return float(-(p[nz] * np.log(p[nz])).sum())
+
+
+def aie(err_model, err_base) -> float:
+    """Average increase in error, the paper's transfer metric: mean over tasks
+    of (err_m - err_b) / err_b. No command reports it, so it lives with the tests."""
+    em = np.asarray(err_model, dtype=np.float64)
+    eb = np.asarray(err_base, dtype=np.float64)
+    if em.shape != eb.shape or em.size == 0:
+        raise ShapeError("AIE needs matching non-empty error vectors")
+    if np.any(eb <= 0.0):
+        raise DataError("AIE undefined for non-positive baseline error")
+    return float(((em - eb) / eb).mean())
 
 
 def mul(a, b):

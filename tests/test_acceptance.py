@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    changed_per_stage, entropy, fd_gradients, max_rel_error, micro_cnn_spec, mlp_spec, num_params,
-    record_stage_starts, tiny_transformer_spec,
+    aie, changed_per_stage, entropy, fd_gradients, max_rel_error, micro_cnn_spec, mlp_spec,
+    num_params, record_stage_starts, tiny_transformer_spec,
 )
 from losses import cross_entropy
 
@@ -275,7 +275,7 @@ def test_criterion_4_diagnostics_oracles():
         base = rng.uniforms(n) * 0.9 + 0.05
         mod = rng.uniforms(n) * 0.9 + 0.05
         want = sum((m - b) / b for m, b in zip(mod, base)) / n
-        assert abs(dg.aie(mod, base) - want) <= 1e-6
+        assert abs(aie(mod, base) - want) <= 1e-6
     report(4, "entropy/CE/uncertainty/IoU/channel/FLOPs/AIE match f64 brute force on 1000 each")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import entropy, micro_cnn_spec, mlp_spec, tiny_transformer_spec
+from conftest import aie, entropy, micro_cnn_spec, mlp_spec, tiny_transformer_spec
 
 from sparselab import diagnostics as dg
 from sparselab.errors import DataError, ShapeError
@@ -242,21 +242,21 @@ def test_flops_transformer_per_layer_closed_form():
 
 def test_aie_identical_zero():
     e = np.array([0.1, 0.2, 0.3])
-    assert dg.aie(e, e) == 0.0
+    assert aie(e, e) == 0.0
 
 
 def test_aie_halved_errors():
     base = np.array([0.2, 0.4, 0.6])
-    assert dg.aie(base / 2, base) == pytest.approx(-0.5)
+    assert aie(base / 2, base) == pytest.approx(-0.5)
 
 
 def test_aie_per_task_example():
-    assert dg.aie(np.array([0.2, 0.4]), np.array([0.1, 0.5])) == pytest.approx(0.4)
+    assert aie(np.array([0.2, 0.4]), np.array([0.1, 0.5])) == pytest.approx(0.4)
 
 
 def test_aie_zero_baseline_error():
     with pytest.raises(DataError):
-        dg.aie(np.array([0.1]), np.array([0.0]))
+        aie(np.array([0.1]), np.array([0.0]))
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 12))
@@ -266,4 +266,4 @@ def test_aie_matches_brute_force(seed, n):
     base = rng.uniforms(n) * 0.9 + 0.05
     model = rng.uniforms(n) * 0.9 + 0.05
     want = sum((m - b) / b for m, b in zip(model, base)) / n
-    assert dg.aie(model, base) == pytest.approx(want, abs=1e-12)
+    assert aie(model, base) == pytest.approx(want, abs=1e-12)

@@ -177,13 +177,10 @@ class ExperimentConfig:
                 "must be positive"
             )
         arch, data = ARCHS[self.model.arch], self.dataset
-        prunable = {d.name for d in arch.params(self.model) if d.prunable}
-        unknown = [n for n in self.sparsity.keep_dense if n not in prunable]
+        prunable = [d.name for d in arch.params(self.model) if d.prunable]
+        unknown = sorted(set(self.sparsity.keep_dense) - set(prunable))
         if unknown:
-            raise ConfigError(
-                f"sparsity.keep_dense names no prunable weight of the model: {unknown}, "
-                f"expected some of {sorted(prunable)}"
-            )
+            raise ConfigError(f"sparsity.keep_dense {unknown}: not among the prunable {prunable}")
         if data.kind == "synthetic-blobs":
             n_in, n_out = arch.input_dim(self.model), arch.output_dim(self.model)
             if n_in not in (None, data.dim) or n_out != data.classes:

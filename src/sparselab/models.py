@@ -113,9 +113,6 @@ class ParamStore:
     def masks(self) -> dict[str, np.ndarray]:
         return {n: e.mask for n, e in self._entries.items() if e.mask is not None}
 
-    def weight_arrays(self) -> dict[str, np.ndarray]:
-        return {n: e.weights for n, e in self._entries.items()}
-
 
 @dataclass(frozen=True)
 class ParamDef:
@@ -169,7 +166,7 @@ class Model:
     # -- forward / gradients ------------------------------------------------
 
     def _param_vars(self, params: dict[str, np.ndarray] | None) -> dict[str, Var]:
-        arrays = self.store.weight_arrays() if params is None else params
+        arrays = {n: e.weights for n, e in self.store.items()} if params is None else params
         return {name: Var(arr) for name, arr in arrays.items()}
 
     def forward(self, x: np.ndarray, *, params: dict[str, np.ndarray] | None = None) -> np.ndarray:
@@ -189,9 +186,8 @@ class Model:
         params: dict[str, np.ndarray] | None = None,
         keep: np.ndarray | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Loss plus one gradient tensor per parameter (dense, mask ignored).
-        `keep` holds the step's dropout keep flags, `dropout_draws` per row of
-        `x`; None trains without dropout."""
+        """Loss plus one gradient tensor per parameter (dense, mask ignored);
+        `keep` is the step's dropout keep flags, or None for no dropout."""
         pv = self._param_vars(params)
         logits = ARCHS[self.spec.arch].forward(self.spec, pv, x, keep)
         loss = ad.cross_entropy_mean(logits, labels, eps)
@@ -345,9 +341,7 @@ class Architecture:
     forward: Callable[..., Var]  # (spec, param vars, input, keep flags or None) -> logits
     input_dim: Callable[[ModelSpec], int | None]  # None: token ids
     output_dim: Callable[[ModelSpec], int]
-    # (spec, shape of one input row) -> dropout keep flags a training step
-    # draws per row; 0 without dropout
-    dropout_draws: Callable[[ModelSpec, tuple[int, ...]], int]
+    dropout_draws: Callable[..., int]  # (spec, input row shape) -> keep flags per row; 0: none
 
 
 ARCHS = {
@@ -361,7 +355,6 @@ ARCHS = {
     ),
     TINY_TRANSFORMER: Architecture(
         _transformer_params, _forward_transformer, lambda s: None, lambda s: s.classes,
-        # 2 sites per block, each d_model flags per token
         lambda s, row: 2 * s.blocks * s.d_model * row[0] if s.dropout > 0.0 else 0,
     ),
 }

@@ -20,10 +20,7 @@ measured size where the bulk path starts to win. The scalar path serves
 small requests and is the tests' oracle for the bulk path: every seeded
 output is byte-identical whichever path draws it, and tests/test_rng.py
 checks both paths against the published C code.
-
-Dropout. The training loop draws a whole epoch's dropout keep flags in one
-`uniforms(n, at_least=p)` request: the flags `uniforms(n) >= p`, compared on
-the integers the uniforms come from, so no float array is built.
+Dropout draws an epoch's keep flags in one `uniforms(n, at_least=p)` request.
 """
 
 from __future__ import annotations
@@ -178,9 +175,7 @@ class Rng:
         buf, tmp = np.empty((2, rows, L), dtype=np.uint64)
         dest = out[: L * K].reshape(L, K)
         # numpy scalars: a Python int operand costs a conversion per call
-        c5, c7, c9, c11, c17, c19, c45, c57 = (
-            np.uint64(c) for c in (5, 7, 9, 11, 17, 19, 45, 57)
-        )
+        c5, c7, c9, c17, c19, c45, c57 = (np.uint64(c) for c in (5, 7, 9, 17, 19, 45, 57))
         thr = np.uint64(thr)
         for t0 in range(0, K, rows):
             block = buf[: K - t0]
@@ -203,7 +198,7 @@ class Rng:
             if out.dtype == np.uint64:
                 np.copyto(cols, block.T)
                 continue
-            block >>= c11
+            block >>= np.uint64(11)
             if out.dtype == bool:
                 np.greater_equal(block.T, thr, out=cols)
             else:
@@ -212,24 +207,18 @@ class Rng:
         return L * K
 
     def uniforms(self, n: int, at_least: float | None = None) -> np.ndarray:
-        """n `uniform` floats; given `at_least`, the bool flags of the same
-        draws `uniforms(n) >= at_least`. A uniform is x * 2^-53 for an integer
-        x < 2^53, and x * 2^-53 >= p exactly when x >= ceil(p * 2^53), where
-        the product is exact, so the flags are computed on the integers."""
-        if at_least is None:
-            out, thr = np.empty(n, dtype=np.float64), 0
-        else:
-            out = np.empty(n, dtype=bool)
-            thr = min(max(math.ceil(at_least * (1 << 53)), 0), 1 << 53)
+        """n `uniform` floats x * 2^-53, or given `at_least` = p the flags
+        `uniforms(n) >= p` of the same draws, compared as x >= ceil(p * 2^53):
+        the product is exact, so no float is built."""
+        flags = at_least is not None
+        thr = min(max(math.ceil(at_least * (1 << 53)), 0), 1 << 53) if flags else 0
+        out = np.empty(n, dtype=bool if flags else np.float64)
         done = self._bulk(out, thr) if n >= _BULK_MIN else 0
         nxt = self.next_u64
-        if at_least is None:
-            scale = 1.0 / (1 << 53)
-            for i in range(done, n):
-                out[i] = (nxt() >> 11) * scale
-        else:
-            for i in range(done, n):
-                out[i] = (nxt() >> 11) >= thr
+        scale = 1.0 / (1 << 53)
+        for i in range(done, n):
+            x = nxt() >> 11
+            out[i] = x >= thr if flags else x * scale
         return out
 
     def normals(self, n: int) -> np.ndarray:

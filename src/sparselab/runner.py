@@ -219,13 +219,12 @@ class _AcdcDriver(_Driver):
         return {p.end for p in self.phases if p.kind == COMPRESSED}
 
     def state_dict(self) -> dict:
-        out = {
+        return {
             "phase_kind": self.current.kind if self.current else None,
             "phase_start": self.current.start if self.current else None,
             "target": self.schedule.target,
             "decompression_sparsity": self.schedule.decompression_sparsity,
         }
-        return out
 
 
 # -- the loop -----------------------------------------------------------------
@@ -362,12 +361,9 @@ def train_epochs(
     """Minibatch SGD over `data`'s train split, from step 0 of `sgd`'s schedule.
 
     Each epoch draws a permutation, calls `before_epoch(epoch, order)` if
-    given, draws the epoch's dropout keep flags in one request, then takes
-    one `sgd_step` per minibatch. A minibatch's flags are the contiguous
-    slab for its rows, so the stream is the one that per-step requests would
-    draw, and each epoch advances it by exactly `dropout_draws` per row.
-    After each epoch it yields (epoch, steps taken so far, mean train loss
-    over the epoch).
+    given, draws `dropout_draws` keep flags per row in one request, then
+    takes one `sgd_step` per minibatch on its rows' slab of flags. After each
+    epoch it yields (epoch, steps taken so far, mean train loss over the epoch).
     """
     n = len(data.x_train)
     r = ARCHS[model.spec.arch].dropout_draws(model.spec, data.x_train.shape[1:])

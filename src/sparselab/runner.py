@@ -219,12 +219,13 @@ class _AcdcDriver(_Driver):
         return {p.end for p in self.phases if p.kind == COMPRESSED}
 
     def state_dict(self) -> dict:
-        return {
+        out = {
             "phase_kind": self.current.kind if self.current else None,
             "phase_start": self.current.start if self.current else None,
             "target": self.schedule.target,
             "decompression_sparsity": self.schedule.decompression_sparsity,
         }
+        return out
 
 
 # -- the loop -----------------------------------------------------------------

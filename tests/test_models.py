@@ -7,7 +7,7 @@ from conftest import (
 
 from sparselab import autodiff as ad
 from sparselab.errors import NonFiniteError, ShapeError
-from sparselab.models import ParamStore, build_model
+from sparselab.models import ARCHS, ParamStore, build_model
 from sparselab.rng import Rng
 
 
@@ -79,6 +79,17 @@ def test_transformer_attention_shape_any_length():
         assert logits.shape == (2, 3)
     with pytest.raises(ShapeError):
         model.forward(np.zeros((1, 11), dtype=np.int64))
+
+
+@pytest.mark.parametrize("spec, row, draws", [
+    (mlp_spec((6, 5, 3)), (6,), 0),
+    (micro_cnn_spec(image_hw=(4, 4)), (16,), 0),
+    (tiny_transformer_spec(), (5,), 0),
+    (tiny_transformer_spec(dropout=0.1), (5,), 2 * 2 * 32 * 5),  # 2 sites a block, d a token
+    (tiny_transformer_spec(dropout=0.1, blocks=1), (16,), 2 * 1 * 32 * 16),
+])
+def test_dropout_keep_flags_per_row(spec, row, draws):
+    assert ARCHS[spec.arch].dropout_draws(spec, row) == draws
 
 
 def test_scalar_quadratic_gradient():

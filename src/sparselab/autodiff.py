@@ -225,13 +225,15 @@ def conv2d(x: Var, w: Var, b: Var, pad: int = 1) -> Var:
         raise ShapeError(f"conv2d shapes {xv.shape} x {wv.shape}")
     B, C, H, W = xv.shape
     O, _, kh, kw = wv.shape
-    xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     hp, wp = H + 2 * pad, W + 2 * pad
+    xp = np.zeros((B, C, hp, wp), dtype=xv.dtype)  # np.pad's set-up costs more than this
+    xp[:, :, pad : pad + H, pad : pad + W] = xv
     ho, wo = hp - kh + 1, wp - kw + 1
     idx = _conv_indices(C, hp, wp, kh, kw, ho, wo)
     cols = xp.reshape(B, C * hp * wp)[:, idx]  # (B, C*kh*kw, ho*wo)
     w2 = wv.reshape(O, C * kh * kw)
-    out = (np.matmul(w2, cols) + b.value[None, :, None]).reshape(B, O, ho, wo)
+    out = np.matmul(w2, cols)  # (B, O, ho*wo)
+    out += b.value[None, :, None]
 
     def back(g):
         g2 = g.reshape(B, O, ho * wo)
@@ -252,7 +254,7 @@ def conv2d(x: Var, w: Var, b: Var, pad: int = 1) -> Var:
         gx = gxp[pad : pad + H, pad : pad + W].transpose(2, 0, 1).reshape(B, C, H, W)
         return gx, gw, gb
 
-    return Var(out, (x, w, b), back)
+    return Var(out.reshape(B, O, ho, wo), (x, w, b), back)
 
 
 def avg_pool2d(x: Var) -> Var:
@@ -265,7 +267,9 @@ def avg_pool2d(x: Var) -> Var:
     if H % 2 or W % 2:
         raise ShapeError(f"avg_pool2d: {H}x{W} not divisible by 2")
     v = x.value.reshape(B, C, H // 2, 2, W // 2, 2)
-    out = ((v[..., 0, :, 0] + v[..., 0, :, 1]) + (v[..., 1, :, 0] + v[..., 1, :, 1])) / 4
+    rows = v[..., 0] + v[..., 1]  # (v00 + v01) and (v10 + v11)
+    out = rows[:, :, :, 0] + rows[:, :, :, 1]
+    out /= 4
 
     def back(g):
         # repeating the quarter-size g / 4 is faster here than one broadcast copy

@@ -176,18 +176,21 @@ class ExperimentConfig:
                 "total_epochs (also times the multiplier), batch_size and checkpoint_every "
                 "must be positive"
             )
-        arch, data = ARCHS[self.model.arch], self.dataset
+        arch, data, m = ARCHS[self.model.arch], self.dataset, self.model
         prunable = [d.name for d in arch.params(self.model) if d.prunable]
         unknown = sorted(set(self.sparsity.keep_dense) - set(prunable))
         if unknown:
             raise ConfigError(f"sparsity.keep_dense {unknown}: not among the prunable {prunable}")
-        if data.kind == "synthetic-blobs":
-            n_in, n_out = arch.input_dim(self.model), arch.output_dim(self.model)
-            if n_in not in (None, data.dim) or n_out != data.classes:
-                raise ConfigError(
-                    f"model maps {n_in or 'token'} inputs to {n_out} classes, but the dataset has "
-                    f"dim {data.dim} and {data.classes} classes"
-                )
+        n_in, n_out = arch.input_dim(m), arch.output_dim(m)
+        if data.kind == "synthetic-blobs" and (n_in not in (None, data.dim) or n_out != data.classes):
+            raise ConfigError(
+                f"model maps {n_in or 'token'} inputs to {n_out} classes, but the dataset has "
+                f"dim {data.dim} and {data.classes} classes"
+            )
+        tokens = data.kind == "synthetic-sequences" and n_in is None
+        if tokens and (data.vocab > m.vocab or data.seq_len > m.max_len):
+            raise ConfigError(f"model vocab {m.vocab} and max_len {m.max_len} do not cover the "
+                              f"dataset's vocab {data.vocab} and seq_len {data.seq_len}")
 
     # -- effective (multiplier-applied) schedule anchors ---------------------
 

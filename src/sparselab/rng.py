@@ -16,10 +16,11 @@ The bulk path starts L = n // K lanes at states K steps apart, reached with
 the cached jump matrices T^(2^m), steps all lanes together as numpy uint64
 arrays and writes lane i's outputs to positions [i*K, (i+1)*K). The last
 n - L*K outputs come from the scalar path. `_BULK_MIN` sits above the
-measured size where the bulk path starts to win. The scalar path serves
-small requests and is the tests' oracle for the bulk path: every seeded
-output is byte-identical whichever path draws it, and tests/test_rng.py
-checks both paths against the published C code.
+measured size where the bulk path starts to win, so the 1,023 swap draws of
+a 1024-row epoch's shuffle take the bulk path. The scalar path serves small
+requests and is the tests' oracle for the bulk path: every seeded output is
+byte-identical whichever path draws it, and tests/test_rng.py checks both
+paths against the published C code.
 Dropout draws an epoch's keep flags in one `uniforms(n, at_least=p)` request.
 """
 
@@ -56,9 +57,9 @@ def _rotl(x: int, k: int) -> int:
 # -- bulk path -------------------------------------------------------------------
 
 # Requests this large take the bulk path. Measured on 2 vCPUs (numpy 2.4), the
-# two paths tie between 256 and 512 draws; at 1024 the bulk path takes about
-# half the scalar path's time.
-_BULK_MIN = 1024
+# paths tie near 300 draws for `uniforms` and 384 for `permutation`; at 512 the
+# bulk path takes about 0.7 and 0.8 of the scalar time, at 1024 0.4 and 0.55.
+_BULK_MIN = 512
 _CHUNK = 1 << 13  # lane outputs buffered between conversions (64 KB of uint64)
 # _JUMPS[m] is T^(2^m) as 256 states (8 KB): row b is the state that the state
 # with only bit b set reaches after 2^m steps. Filled on first use.
@@ -248,8 +249,10 @@ class Rng:
             js = (draws % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
         else:
             js = (self.below(i + 1) for i in range(n - 1, 0, -1))
+        vals = items.tolist()  # list swaps cost less than numpy element access
         for i, j in zip(range(n - 1, 0, -1), js):
-            items[i], items[j] = items[j], items[i]
+            vals[i], vals[j] = vals[j], vals[i]
+        items[:] = vals
 
     def permutation(self, n: int) -> np.ndarray:
         idx = np.arange(n)

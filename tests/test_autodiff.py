@@ -93,7 +93,7 @@ def test_embedding_scatter():
     check_op(lambda t: ad.embedding(t, ids), [(4, 3)])
 
 
-@pytest.mark.parametrize("x_shape,w_shape,pad", [
+CONV_SHAPES = [
     ((2, 2, 5, 5), (3, 2, 3, 3), 1),
     ((2, 2, 5, 5), (3, 2, 3, 3), 0),
     ((2, 2, 4, 6), (3, 2, 3, 3), 1),
@@ -101,10 +101,45 @@ def test_embedding_scatter():
     ((2, 3, 4, 4), (1, 3, 3, 3), 1),
     ((2, 2, 3, 4), (3, 2, 1, 1), 0),
     ((1, 2, 6, 5), (2, 2, 5, 5), 2),
-], ids=["pad1", "pad0", "h-ne-w", "c1", "o1", "k1x1", "k5x5"])
+]
+CONV_IDS = ["pad1", "pad0", "h-ne-w", "c1", "o1", "k1x1", "k5x5"]
+# the micro-CNN's two layers at batch 32 on 8x8 inputs
+MICRO_CNN_CONVS = [((32, 1, 8, 8), (16, 1, 3, 3), 1), ((32, 16, 4, 4), (32, 16, 3, 3), 1)]
+
+
+@pytest.mark.parametrize("x_shape,w_shape,pad", CONV_SHAPES, ids=CONV_IDS)
 def test_conv2d_grads(x_shape, w_shape, pad):
     shapes = [x_shape, w_shape, (w_shape[0],)]
     check_op(lambda x, w, b: ad.conv2d(x, w, b, pad=pad), shapes, tol=1e-5)
+
+
+def im2col_reference(xv, kh, kw, pad):
+    """The np.pad-padded map and its (B, C*kh*kw, ho*wo) im2col rows, from slices."""
+    B, C = xv.shape[:2]
+    xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    taps = [xp[:, :, ki : ki + ho, kj : kj + wo] for ki in range(kh) for kj in range(kw)]
+    return xp, np.stack(taps, axis=2).reshape(B, C * kh * kw, ho * wo), ho, wo
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,w_shape,pad", CONV_SHAPES + MICRO_CNN_CONVS,
+                         ids=CONV_IDS + ["conv1", "conv2"])
+def test_conv2d_forward_matches_reference_bit_for_bit(x_shape, w_shape, pad, dtype):
+    """The forward equals one GEMM over np.pad im2col rows with the bias added
+    out of place: the zero-filled pad buffer and the in-place bias change no bit."""
+    rng = Rng(13)
+    x, w, b = (rng.normals(int(np.prod(s))).reshape(s).astype(dtype)
+               for s in (x_shape, w_shape, (w_shape[0],)))
+    O, _, kh, kw = w_shape
+    _, cols, ho, wo = im2col_reference(x, kh, kw, pad)
+    # batch innermost, as conv2d's gather lays the rows out: for one output
+    # channel, BLAS sums the product in another order for another layout
+    cols = np.ascontiguousarray(cols.transpose(1, 2, 0)).transpose(2, 0, 1)
+    want = (np.matmul(w.reshape(O, -1), cols) + b[None, :, None]).reshape(-1, O, ho, wo)
+    got = ad.conv2d(Var(x), Var(w), Var(b), pad=pad).value
+    assert np.all(b != 0)
+    assert got.dtype == dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def conv2d_reference_grads(xv, wv, g, pad):
@@ -113,10 +148,7 @@ def conv2d_reference_grads(xv, wv, g, pad):
     (B, C, hp, wp) map, adding the (ki, kj) taps in row-major order."""
     B, C, H, W = xv.shape
     O, _, kh, kw = wv.shape
-    xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
-    taps = [xp[:, :, ki : ki + ho, kj : kj + wo] for ki in range(kh) for kj in range(kw)]
-    cols = np.stack(taps, axis=2).reshape(B, C * kh * kw, ho * wo)
+    xp, cols, ho, wo = im2col_reference(xv, kh, kw, pad)
     g2 = g.reshape(B, O, ho * wo)
     gw = np.einsum("bol,bkl->ok", g2, cols).reshape(wv.shape)
     gcols = np.matmul(wv.reshape(O, -1).T, g2).reshape(B, C, kh, kw, ho, wo)
@@ -127,9 +159,7 @@ def conv2d_reference_grads(xv, wv, g, pad):
     return gxp[:, :, pad : pad + H, pad : pad + W], gw, np.abs(g2), np.abs(cols)
 
 
-@pytest.mark.parametrize("x_shape,w_shape,pad", [
-    ((32, 1, 8, 8), (16, 1, 3, 3), 1),
-    ((32, 16, 4, 4), (32, 16, 3, 3), 1),
+@pytest.mark.parametrize("x_shape,w_shape,pad", MICRO_CNN_CONVS + [
     ((3, 2, 5, 7), (4, 2, 5, 3), 0),
 ])
 def test_conv2d_backward_matches_reference_in_f32(x_shape, w_shape, pad):

@@ -300,6 +300,13 @@ BAD_CONFIGS = {
     "gmp-ramp-reversed": ({"method": "gmp", "gmp.ramp_start": 3, "gmp.ramp_end": 2}, 2),
     "multiplier-overflow": ({"multiplier": 1e308}, 2),
     "epochs-beyond-float": ({"total_epochs": 10**400}, 2),
+    "sequence-vocab-above-model": ({"model": {"arch": "tiny-transformer", "vocab": 4, "max_len": 8},
+                                    "dataset": {"kind": "synthetic-sequences", "vocab": 16,
+                                                "seq_len": 8}}, 2),
+    "sequence-longer-than-max-len": ({"model": {"arch": "tiny-transformer", "vocab": 4,
+                                                "max_len": 4},
+                                      "dataset": {"kind": "synthetic-sequences", "vocab": 4,
+                                                  "seq_len": 8}}, 2),
     "missing-idx-file": ({"model.layer_dims": [784, 32, 10], "dataset": {
         "kind": "idx-images", "images_path": "missing-images.idx",
         "labels_path": "missing-labels.idx"}}, 1),

@@ -146,6 +146,40 @@ def test_bulk_equals_scalar_at_edge_lengths(n, threshold):
     _assert_same(got, scalar(lambda: _draws(Rng(2024), n)))
 
 
+def _swap_shuffled(seed: int, items: np.ndarray):
+    """Fisher-Yates with one element swap per `below` draw: the oracle."""
+    r, out = Rng(seed), items.copy()
+    for i in range(len(out) - 1, 0, -1):
+        j = r.below(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out, r._s
+
+
+@pytest.mark.parametrize("n", [THRESHOLD - 1, THRESHOLD + 1])  # n - 1 swap draws: scalar, bulk
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_shuffle_equals_element_swaps(n, dtype):
+    items = (Rng(8).normals(n) * 1e3).astype(dtype)
+    r = Rng(31)
+    got = items.copy()
+    r.shuffle(got)
+    want, state = _swap_shuffled(31, items)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    assert r._s == state
+
+
+def test_epoch_permutation_takes_the_bulk_path(monkeypatch):
+    """A 1024-row epoch's shuffle (1,023 swap draws) is a bulk request."""
+    sizes, bulk = [], Rng._bulk
+
+    def counted(self, out, *args):
+        sizes.append(len(out))
+        return bulk(self, out, *args)
+
+    monkeypatch.setattr(Rng, "_bulk", counted)
+    Rng(4).permutation(1024)
+    assert 1023 >= rng_module._BULK_MIN and sizes == [1023]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 3000), odd=st.booleans())
 def test_bulk_equals_scalar_across_seeds(seed, n, odd):

@@ -120,11 +120,13 @@ def test_jump_matrices_match_reference_jump():
 
 # K is the lane spacing that the bulk path picks: 16 below 1024 draws, 32 from
 # 1024 to 4095. Forced onto the bulk path, the lengths probe L = 0 and 1 lanes
-# and the step from K = 16 to 32; routed, the threshold and a model-sized
-# request.
+# and the step from K = 16 to 32. Routed through the public calls, they probe
+# the threshold in use and one of 1024, where K steps, and a model-sized request.
 FORCED = [0, 1, 15, 16, 17, 63, 64, 65, 1023, 1024, 1025]
 THRESHOLD = rng_module._BULK_MIN
-ROUTED = [THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, 4097, 200_003]
+ROUTED = [(n, THRESHOLD) for n in (THRESHOLD - 1, THRESHOLD, THRESHOLD + 1)] + [
+    (n, 1024) for n in (1023, 1024, 1025, 4097, 200_003)]
+EDGES = [(n, 0) for n in FORCED] + ROUTED
 
 
 def _draws(r: Rng, n: int):
@@ -137,9 +139,7 @@ def _assert_same(a, b):
     assert a[3] == b[3]
 
 
-@pytest.mark.parametrize(
-    "n, threshold", [(n, 0) for n in FORCED] + [(n, THRESHOLD) for n in ROUTED]
-)
+@pytest.mark.parametrize("n, threshold", EDGES)
 def test_bulk_equals_scalar_at_edge_lengths(n, threshold):
     with bulk_min(threshold):
         got = _draws(Rng(2024), n)
@@ -177,7 +177,7 @@ def test_epoch_permutation_takes_the_bulk_path(monkeypatch):
 
     monkeypatch.setattr(Rng, "_bulk", counted)
     Rng(4).permutation(1024)
-    assert 1023 >= rng_module._BULK_MIN and sizes == [1023]
+    assert sizes == [1023]
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,9 +235,7 @@ def _assert_flags(got, want):
 
 
 @pytest.mark.parametrize("p", RATES)
-@pytest.mark.parametrize(
-    "n, threshold", [(n, 0) for n in FORCED] + [(n, THRESHOLD) for n in ROUTED]
-)
+@pytest.mark.parametrize("n, threshold", EDGES)
 def test_keep_flags_equal_compared_uniforms_at_edge_lengths(n, threshold, p):
     with bulk_min(threshold):
         got = _keep(2024, n, p)

@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A `Var` wraps an ndarray and remembers how it was produced; `backward`
-walks the tape in reverse topological order and accumulates gradients.
+walks the tape in reverse creation order and accumulates gradients.
 Inside `no_tape()` a `Var` keeps no tape, so each intermediate is freed as
 soon as the next op has read it. A `const` leaf (input data) gets no gradient.
 The engine is strictly first order: anything second order in the package
@@ -13,7 +13,9 @@ training and in f64 when a test wants a high-precision oracle.
 
 from __future__ import annotations
 
+import heapq
 from contextlib import contextmanager
+from itertools import count
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .errors import ShapeError
 
 
 _taping = True
+_created = count()
 
 
 @contextmanager
@@ -35,7 +38,7 @@ def no_tape():
 
 
 class Var:
-    __slots__ = ("value", "grad", "const", "_parents", "_backprop")
+    __slots__ = ("value", "grad", "const", "_parents", "_backprop", "_seq")
 
     def __init__(self, value, parents=(), backprop=None, const=False):
         self.value = np.asarray(value)
@@ -43,6 +46,7 @@ class Var:
         self.const = const
         self._parents = parents if _taping else ()
         self._backprop = backprop if _taping else None
+        self._seq = next(_created)  # creation order: every input precedes its op
 
     @property
     def shape(self):
@@ -50,31 +54,33 @@ class Var:
 
 
 def backward(root: Var) -> None:
-    """Accumulate gradients of `root` (a scalar) into every tape node."""
-    topo: list[Var] = []
-    seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+    """Accumulate gradients of `root` (a scalar) into every tape node.
 
+    Nodes run in reverse creation order, so a node runs after every op that
+    read it. A node read several times sums its gradient terms in the order
+    of those reads in the forward pass: (g1 + g2) + g3.
+    """
     root.grad = np.ones_like(root.value)
-    for node in reversed(topo):
-        if node._backprop is None or node.grad is None:
+    heap = [(-root._seq, root)]
+    terms: dict[int, list] = {}  # id(node) -> [(consumer seq, term)], newest consumer first
+    while heap:
+        _, node = heapq.heappop(heap)
+        parts = terms.pop(id(node), ())
+        if len(parts) > 1:
+            parts.sort(key=lambda t: t[0])  # stable: one consumer's terms keep argument order
+        for _, g in parts:
+            node.grad = g if node.grad is None else node.grad + g
+        if node._backprop is None:
             continue
         for parent, g in zip(node._parents, node._backprop(node.grad)):
             if g is None:
                 continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+            pending = terms.get(id(parent))
+            if pending is None:
+                terms[id(parent)] = [(node._seq, g)]
+                heapq.heappush(heap, (-parent._seq, parent))
+            else:
+                pending.append((node._seq, g))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -111,6 +117,47 @@ def matmul(a: Var, b: Var) -> Var:
         return _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.value.shape), gb
 
     return Var(out, (a, b), back)
+
+
+def linear(x: Var, w: Var, b: Var) -> Var:
+    """x @ w + b as one node. Leading axes of x fold into one GEMM, so the
+    weight gradient is one GEMM over all rows and the bias gradient one sum."""
+    xv = x.value
+    x2 = xv.reshape(-1, xv.shape[-1])
+    out = np.matmul(x2, w.value)
+    out += b.value
+
+    def back(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gw = np.matmul(x2.T, g2)
+        gb = g2.sum(axis=0)
+        if x.const:
+            return None, gw, gb
+        return np.matmul(g2, w.value.T).reshape(xv.shape), gw, gb
+
+    return Var(out.reshape(*xv.shape[:-1], -1), (x, w, b), back)
+
+
+def attention(q: Var, k: Var, v: Var, c: float) -> Var:
+    """softmax(q k^T * c) v over the last two axes, as one node whose numpy
+    calls are those of the composed matmul, scale, softmax and matmul ops."""
+    c = q.value.dtype.type(c)
+    kt = np.swapaxes(k.value, -1, -2)
+    s = np.matmul(q.value, kt) * c
+    z = s - s.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    vv = v.value
+
+    def back(g):
+        gv = np.matmul(np.swapaxes(p, -1, -2), g)
+        gp = np.matmul(g, np.swapaxes(vv, -1, -2))
+        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * c
+        gkt = np.matmul(np.swapaxes(q.value, -1, -2), gs)
+        gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
+        return gq, np.swapaxes(gkt, -1, -2), gv
+
+    return Var(np.matmul(p, vv), (q, k, v), back)
 
 
 def relu(a: Var) -> Var:

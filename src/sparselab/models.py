@@ -79,13 +79,19 @@ class ParamEntry:
 
 
 class ParamStore:
-    """Ordered name -> (weights, optional mask, trainable flag)."""
+    """Ordered name -> (weights, optional mask, trainable flag).
+
+    `version` counts the calls to `add` and `set_mask`, so an optimizer can
+    tell when the layout or a mask changed. Write weights in place (an
+    optimizer may hold them as views of one vector); replace them with `add`."""
 
     def __init__(self):
         self._entries: dict[str, ParamEntry] = {}
+        self.version = 0
 
     def add(self, name: str, weights: np.ndarray, trainable: bool = True) -> None:
         self._entries[name] = ParamEntry(np.ascontiguousarray(weights, dtype=np.float32), None, trainable)
+        self.version += 1
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -101,10 +107,11 @@ class ParamStore:
 
     def set_mask(self, name: str, mask: np.ndarray | None) -> None:
         entry = self._entries[name]
+        self.version += 1
         if mask is None:
             entry.mask = None
             return
-        mask = np.ascontiguousarray(mask, dtype=np.float32)
+        mask = np.array(mask, dtype=np.float32, order="C")  # a copy: the caller's may change
         if mask.shape != entry.weights.shape:
             raise ShapeError(f"mask shape {mask.shape} != weights {entry.weights.shape} for {name}")
         entry.mask = mask
@@ -281,7 +288,7 @@ def _forward_mlp(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, keep) -> Var:
     h = Var(x, const=True)
     n_layers = len(dims) - 1
     for i in range(1, n_layers + 1):
-        h = ad.add(ad.matmul(h, pv[f"fc{i}.weight"]), pv[f"fc{i}.bias"])
+        h = ad.linear(h, pv[f"fc{i}.weight"], pv[f"fc{i}.bias"])
         if i < n_layers:
             h = ad.relu(h)
     return h
@@ -300,7 +307,7 @@ def _forward_cnn(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, keep) -> Var:
     h = ad.relu(ad.conv2d(h, pv["conv2.weight"], pv["conv2.bias"], pad=1))
     h = ad.avg_pool2d(h)
     h = ad.reshape(h, (h.shape[0], -1))
-    return ad.add(ad.matmul(h, pv["head.weight"]), pv["head.bias"])
+    return ad.linear(h, pv["head.weight"], pv["head.bias"])
 
 
 def _forward_transformer(s: ModelSpec, pv: dict[str, Var], ids: np.ndarray, keep) -> Var:
@@ -318,8 +325,7 @@ def _forward_transformer(s: ModelSpec, pv: dict[str, Var], ids: np.ndarray, keep
         q = ad.add(ad.matmul(pre, pv[f"{b}.attn.wq.weight"]), pv[f"{b}.attn.wq.bias"])
         k = ad.add(ad.matmul(pre, pv[f"{b}.attn.wk.weight"]), pv[f"{b}.attn.wk.bias"])
         v = ad.add(ad.matmul(pre, pv[f"{b}.attn.wv.weight"]), pv[f"{b}.attn.wv.bias"])
-        attn = ad.softmax_last(ad.scale(ad.matmul(q, ad.swap_last2(k)), inv_sqrt_d))
-        ctx = ad.matmul(attn, v)
+        ctx = ad.attention(q, k, v, inv_sqrt_d)
         proj = ad.add(ad.matmul(ctx, pv[f"{b}.attn.wo.weight"]), pv[f"{b}.attn.wo.bias"])
         if keep is not None:
             proj = ad.dropout(proj, s.dropout, keep[2 * i - 2])
@@ -332,7 +338,7 @@ def _forward_transformer(s: ModelSpec, pv: dict[str, Var], ids: np.ndarray, keep
         h = ad.add(h, f2)
     h = ad.layer_norm(h, pv["final_ln.scale"], pv["final_ln.bias"])
     pooled = ad.mean_axis(h, 1)
-    return ad.add(ad.matmul(pooled, pv["head.weight"]), pv["head.bias"])
+    return ad.linear(pooled, pv["head.weight"], pv["head.bias"])
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,22 @@
 """SGD with momentum, coupled weight decay, and mask-aware updates.
 
-A masked parameter's decayed gradient g + wd*w is multiplied by its f32 0/1
-mask before the momentum update, so masked-out entries receive no gradient,
-no decay and no momentum without any indexing by the mask. They stay
-bit-exact +0.0 only because they are +0.0 when each step starts:
-`ParamStore.set_mask` writes +0.0 to the weights it masks out, and
-`reset_momentum` zeroes the momentum of every entry whose mask membership
-changed. A non-finite gradient at a masked-out entry turns into NaN there,
-so the step raises `NonFiniteError` just as for a live entry. With momentum 0
-the buffer holds the gradient plus +0.0, which stores a -0.0 as +0.0.
-Frozen (non-trainable) parameters are untouched entirely.
+`SgdState` moves the store's weights into one flat f32 vector (each
+`entry.weights` becomes a view of it) and keeps the momentum in one vector
+of the same layout, so a step is a handful of numpy calls whatever the
+number of tensors. A third vector holds one keep factor per weight: the f32
+0/1 mask of a masked tensor, 1 for an unmasked one and 0 for a frozen
+(non-trainable) one, whose gradient is copied in as zeros.
+
+The decayed gradient g + wd*w is multiplied by its keep factor before the
+momentum update, so masked-out entries receive no gradient, no decay and no
+momentum without any indexing by the mask. They stay bit-exact +0.0 only
+because they are +0.0 when each step starts: `ParamStore.set_mask` writes
++0.0 to the weights it masks out, and `reset_momentum` zeroes the momentum
+of every entry whose mask membership changed. Freezing a tensor zeroes its
+momentum, so its weights stay untouched bit for bit. A non-finite gradient
+at a masked-out entry turns into NaN there, so the step raises
+`NonFiniteError` just as for a live entry. With momentum 0 the buffer holds
+the gradient plus +0.0, which stores a -0.0 as +0.0.
 """
 
 from __future__ import annotations
@@ -56,6 +63,11 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
 
 
 class SgdState:
+    """Schedule, hyper-parameters and momentum of one run over `store`.
+
+    `buffers` maps each name to its momentum, a view of the flat vector in
+    the tensor's shape, so a checkpoint stores it as before."""
+
     def __init__(
         self,
         store: ParamStore,
@@ -70,40 +82,93 @@ class SgdState:
         self.schedule = schedule
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.buffers: dict[str, np.ndarray] = {
-            name: np.zeros_like(e.weights) for name, e in store.items()
-        }
+        self.buffers: dict[str, np.ndarray] = {}
+        self._bind(store)
+
+    def _bind(self, store: ParamStore) -> None:
+        """Move the store's weights into one vector; momentum carries over by name."""
+        names = store.names()
+        sizes = [store[n].weights.size for n in names]
+        ends = np.cumsum([0] + sizes).tolist()
+        self._w = np.empty(ends[-1], dtype=np.float32)
+        self._m = np.zeros(ends[-1], dtype=np.float32)
+        self._g = np.empty_like(self._w)
+        self._scratch = np.empty_like(self._w)
+        self._spans = {}
+        old, self.buffers = self.buffers, {}
+        for name, a, b in zip(names, ends, ends[1:]):
+            entry = store[name]
+            w = self._w[a:b].reshape(entry.weights.shape)
+            w[...] = entry.weights
+            entry.weights = w
+            self.buffers[name] = self._m[a:b].reshape(w.shape)
+            if name in old and old[name].shape == w.shape:
+                self.buffers[name][...] = old[name]
+            self._spans[name] = (a, b)
+        self._store = store
+        self._refresh(store)
+
+    def _refresh(self, store: ParamStore) -> None:
+        """Rebuild the keep factors and the gradient sources from masks and flags."""
+        entries = [store[n] for n in self._spans]
+        self._version = store.version
+        self._flags = tuple(e.trainable for e in entries)
+        zeros = np.zeros_like(self._w)
+        keep = np.ones_like(self._w)
+        self._sources = []  # (name, None) copies a gradient in, (name, zeros) a frozen one
+        for (name, (a, b)), e in zip(self._spans.items(), entries):
+            if not e.trainable:
+                keep[a:b] = 0.0
+                self._m[a:b] = 0.0
+                self._sources.append((name, zeros[a:b]))
+                continue
+            if e.mask is not None:
+                keep[a:b] = e.mask.reshape(-1)
+            self._sources.append((name, None))
+        self._keep = None if keep.all() else keep
+
+    def _sync(self, store: ParamStore) -> None:
+        if store is not self._store or store.names() != list(self._spans) or any(
+            e.weights.base is not self._w for _, e in store.items()
+        ):
+            self._bind(store)
+        else:
+            self._refresh(store)
+
+    def nonfinite_name(self) -> str | None:
+        for name, (a, b) in self._spans.items():
+            if not np.isfinite(self._w[a:b]).all():
+                return name
+        return None
 
 
 def sgd_step(store: ParamStore, grads: dict[str, np.ndarray], state: SgdState, step: int) -> None:
-    """One update: g' = (g + wd*w)*mask, m <- beta*m + g', w <- w - lr*m.
+    """One update over the flat vectors: g' = (g + wd*w)*keep, m <- beta*m + g',
+    w <- w - lr*m.
 
-    Masked entries keep w == +0.0 and m == +0.0; frozen entries are skipped.
+    Masked entries keep w == +0.0 and m == +0.0; frozen tensors stay as they are.
     """
     lr = np.float32(lr_at(state.schedule, step))
     beta = np.float32(state.momentum)
     wd = np.float32(state.weight_decay)
-    for name, entry in store.items():
-        if not entry.trainable:
-            continue
-        w = entry.weights
-        m = state.buffers[name]
-        # g' in place on one fresh array: fewer arrays in cache than g*mask + wd*w
-        if wd != 0.0:
-            g = np.multiply(w, wd)
-            g += grads[name]
-        else:
-            g = grads[name].copy()
-        if entry.mask is not None:
-            g *= entry.mask
-        if beta != 0.0:
-            m *= beta
-            m += g
-        else:
-            np.add(g, 0.0, out=m)  # a negative g times a mask zero is -0.0
-        w -= np.multiply(m, lr, out=g)
-        if not np.all(np.isfinite(w)):
-            raise NonFiniteError(f"non-finite update for {name}")
+    if (store is not state._store or store.version != state._version
+            or tuple(e.trainable for _, e in store.items()) != state._flags):
+        state._sync(store)
+    w, m, g = state._w, state._m, state._g
+    if w.size:
+        np.concatenate([grads[n] if z is None else z for n, z in state._sources], axis=None, out=g)
+    if wd != 0.0:
+        g = np.add(np.multiply(w, wd, out=state._scratch), g, out=state._scratch)
+    if state._keep is not None:
+        g *= state._keep
+    if beta != 0.0:
+        m *= beta
+        m += g
+    else:
+        np.add(g, 0.0, out=m)  # a negative g times a mask zero is -0.0
+    w -= np.multiply(m, lr, out=g)
+    if not np.isfinite(w).all():
+        raise NonFiniteError(f"non-finite update for {state.nonfinite_name()}")
 
 
 def reset_momentum(state: SgdState, changed: dict[str, np.ndarray]) -> None:

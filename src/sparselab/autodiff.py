@@ -201,25 +201,22 @@ def layer_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
     """Normalization over the last axis with trainable scale and shift."""
     v = x.value
     n = v.shape[-1]
-    mu = v.mean(axis=-1, keepdims=True)
-    xc = v - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + v.dtype.type(eps))
-    inv = inv.astype(v.dtype)
+    xc = v - np.add.reduce(v, axis=-1, keepdims=True) / n
+    inv = 1 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + v.dtype.type(eps))
     xhat = xc * inv
-    out = gamma.value * xhat + beta.value
+    out = xhat * gamma.value
+    out += beta.value
 
     def back(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=reduce_axes).reshape(gamma.value.shape)
-        dbeta = g.sum(axis=reduce_axes).reshape(beta.value.shape)
+        g2 = g.reshape(-1, n)
+        dgamma = np.add.reduce(g2 * xhat.reshape(-1, n), axis=0)
+        dbeta = np.add.reduce(g2, axis=0)
         dxhat = g * gamma.value
-        dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
-        dmu = -(dxhat * inv).sum(axis=-1, keepdims=True) + dvar * (-2.0 / n) * xc.sum(
-            axis=-1, keepdims=True
-        )
-        dx = dxhat * inv + dvar * (2.0 / n) * xc + dmu / n
-        return dx.astype(v.dtype), dgamma, dbeta
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), means over the last axis
+        dx = dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        dx -= xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
+        dx *= inv
+        return dx, dgamma, dbeta
 
     return Var(out, (x, gamma, beta), back)
 

@@ -322,17 +322,17 @@ def _forward_transformer(s: ModelSpec, pv: dict[str, Var], ids: np.ndarray, keep
     for i in range(1, s.blocks + 1):
         b = f"block{i}"
         pre = ad.layer_norm(h, pv[f"{b}.ln1.scale"], pv[f"{b}.ln1.bias"])
-        q = ad.add(ad.matmul(pre, pv[f"{b}.attn.wq.weight"]), pv[f"{b}.attn.wq.bias"])
-        k = ad.add(ad.matmul(pre, pv[f"{b}.attn.wk.weight"]), pv[f"{b}.attn.wk.bias"])
-        v = ad.add(ad.matmul(pre, pv[f"{b}.attn.wv.weight"]), pv[f"{b}.attn.wv.bias"])
+        q = ad.linear(pre, pv[f"{b}.attn.wq.weight"], pv[f"{b}.attn.wq.bias"])
+        k = ad.linear(pre, pv[f"{b}.attn.wk.weight"], pv[f"{b}.attn.wk.bias"])
+        v = ad.linear(pre, pv[f"{b}.attn.wv.weight"], pv[f"{b}.attn.wv.bias"])
         ctx = ad.attention(q, k, v, inv_sqrt_d)
-        proj = ad.add(ad.matmul(ctx, pv[f"{b}.attn.wo.weight"]), pv[f"{b}.attn.wo.bias"])
+        proj = ad.linear(ctx, pv[f"{b}.attn.wo.weight"], pv[f"{b}.attn.wo.bias"])
         if keep is not None:
             proj = ad.dropout(proj, s.dropout, keep[2 * i - 2])
         h = ad.add(h, proj)
         pre2 = ad.layer_norm(h, pv[f"{b}.ln2.scale"], pv[f"{b}.ln2.bias"])
-        f1 = ad.relu(ad.add(ad.matmul(pre2, pv[f"{b}.ff.w1.weight"]), pv[f"{b}.ff.w1.bias"]))
-        f2 = ad.add(ad.matmul(f1, pv[f"{b}.ff.w2.weight"]), pv[f"{b}.ff.w2.bias"])
+        f1 = ad.relu(ad.linear(pre2, pv[f"{b}.ff.w1.weight"], pv[f"{b}.ff.w1.bias"]))
+        f2 = ad.linear(f1, pv[f"{b}.ff.w2.weight"], pv[f"{b}.ff.w2.bias"])
         if keep is not None:
             f2 = ad.dropout(f2, s.dropout, keep[2 * i - 1])
         h = ad.add(h, f2)

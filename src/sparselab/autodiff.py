@@ -102,23 +102,6 @@ def add(a: Var, b: Var) -> Var:
     return Var(out, (a, b), back)
 
 
-def scale(a: Var, c: float) -> Var:
-    c = a.value.dtype.type(c)
-    return Var(a.value * c, (a,), lambda g: (g * c,))
-
-
-def matmul(a: Var, b: Var) -> Var:
-    out = np.matmul(a.value, b.value)
-
-    def back(g):
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.value, -1, -2), g), b.value.shape)
-        if a.const:
-            return None, gb
-        return _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.value.shape), gb
-
-    return Var(out, (a, b), back)
-
-
 def linear(x: Var, w: Var, b: Var) -> Var:
     """x @ w + b as one node. Leading axes of x fold into one GEMM, so the
     weight gradient is one GEMM over all rows and the bias gradient one sum."""
@@ -172,10 +155,6 @@ def reshape(a: Var, shape: tuple) -> Var:
     return Var(a.value.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
-def swap_last2(a: Var) -> Var:
-    return Var(np.swapaxes(a.value, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
-
-
 def mean_axis(a: Var, axis: int) -> Var:
     n = a.value.shape[axis]
     out = a.value.mean(axis=axis)
@@ -184,17 +163,6 @@ def mean_axis(a: Var, axis: int) -> Var:
         return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
 
     return Var(out, (a,), back)
-
-
-def softmax_last(a: Var) -> Var:
-    z = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        return ((g - (g * p).sum(axis=-1, keepdims=True)) * p,)
-
-    return Var(p, (a,), back)
 
 
 def layer_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:

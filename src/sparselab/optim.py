@@ -87,59 +87,43 @@ class SgdState:
 
     def _bind(self, store: ParamStore) -> None:
         """Move the store's weights into one vector; momentum carries over by name."""
-        names = store.names()
-        sizes = [store[n].weights.size for n in names]
-        ends = np.cumsum([0] + sizes).tolist()
-        self._w = np.empty(ends[-1], dtype=np.float32)
-        self._m = np.zeros(ends[-1], dtype=np.float32)
-        self._g = np.empty_like(self._w)
-        self._scratch = np.empty_like(self._w)
-        self._spans = {}
-        old, self.buffers = self.buffers, {}
-        for name, a, b in zip(names, ends, ends[1:]):
-            entry = store[name]
-            w = self._w[a:b].reshape(entry.weights.shape)
-            w[...] = entry.weights
-            entry.weights = w
-            self.buffers[name] = self._m[a:b].reshape(w.shape)
-            if name in old and old[name].shape == w.shape:
+        self._store, old, self.buffers, self._spans = store, self.buffers, {}, {}
+        n = sum(e.weights.size for _, e in store.items())
+        self._w, self._m = np.empty(n, np.float32), np.zeros(n, np.float32)
+        self._g, self._scratch = np.empty_like(self._w), np.empty_like(self._w)
+        a = 0
+        for name, e in store.items():
+            b, shape = a + e.weights.size, e.weights.shape
+            self._w[a:b] = e.weights.reshape(-1)
+            e.weights = self._w[a:b].reshape(shape)
+            self.buffers[name] = self._m[a:b].reshape(shape)
+            if name in old and old[name].shape == shape:
                 self.buffers[name][...] = old[name]
-            self._spans[name] = (a, b)
-        self._store = store
-        self._refresh(store)
+            self._spans[name], a = (a, b), b
+        self._refresh()
 
-    def _refresh(self, store: ParamStore) -> None:
+    def _refresh(self) -> None:
         """Rebuild the keep factors and the gradient sources from masks and flags."""
-        entries = [store[n] for n in self._spans]
-        self._version = store.version
-        self._flags = tuple(e.trainable for e in entries)
-        zeros = np.zeros_like(self._w)
-        keep = np.ones_like(self._w)
-        self._sources = []  # (name, None) copies a gradient in, (name, zeros) a frozen one
-        for (name, (a, b)), e in zip(self._spans.items(), entries):
+        self._version = self._store.version
+        self._flags = tuple(e.trainable for _, e in self._store.items())
+        keep, zeros = np.ones_like(self._w), np.zeros_like(self._w)
+        self._sources = []  # (name, None): copy its gradient in; (name, zeros): frozen
+        for (name, e), (a, b) in zip(self._store.items(), self._spans.values()):
             if not e.trainable:
-                keep[a:b] = 0.0
-                self._m[a:b] = 0.0
-                self._sources.append((name, zeros[a:b]))
-                continue
-            if e.mask is not None:
+                keep[a:b] = self._m[a:b] = 0.0
+            elif e.mask is not None:
                 keep[a:b] = e.mask.reshape(-1)
-            self._sources.append((name, None))
+            self._sources.append((name, None if e.trainable else zeros[a:b]))
         self._keep = None if keep.all() else keep
 
     def _sync(self, store: ParamStore) -> None:
+        """Follow the store: re-flatten it if its layout changed, then rebuild the keep factors."""
         if store is not self._store or store.names() != list(self._spans) or any(
             e.weights.base is not self._w for _, e in store.items()
         ):
             self._bind(store)
         else:
-            self._refresh(store)
-
-    def nonfinite_name(self) -> str | None:
-        for name, (a, b) in self._spans.items():
-            if not np.isfinite(self._w[a:b]).all():
-                return name
-        return None
+            self._refresh()
 
 
 def sgd_step(store: ParamStore, grads: dict[str, np.ndarray], state: SgdState, step: int) -> None:
@@ -168,7 +152,8 @@ def sgd_step(store: ParamStore, grads: dict[str, np.ndarray], state: SgdState, s
         np.add(g, 0.0, out=m)  # a negative g times a mask zero is -0.0
     w -= np.multiply(m, lr, out=g)
     if not np.isfinite(w).all():
-        raise NonFiniteError(f"non-finite update for {state.nonfinite_name()}")
+        bad = next(n for n, (a, b) in state._spans.items() if not np.isfinite(w[a:b]).all())
+        raise NonFiniteError(f"non-finite update for {bad}")
 
 
 def reset_momentum(state: SgdState, changed: dict[str, np.ndarray]) -> None:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,56 @@ def mul(a, b):
         )
 
     return Var(a.value * b.value, (a, b), back)
+
+
+# The composed ops the models used before `autodiff.linear` and
+# `autodiff.attention`: the tests check those fused nodes against them.
+
+
+def scale(a: Var, c: float) -> Var:
+    c = a.value.dtype.type(c)
+    return Var(a.value * c, (a,), lambda g: (g * c,))
+
+
+def matmul(a: Var, b: Var) -> Var:
+    out = np.matmul(a.value, b.value)
+
+    def back(g):
+        gb = ad._unbroadcast(np.matmul(np.swapaxes(a.value, -1, -2), g), b.value.shape)
+        if a.const:
+            return None, gb
+        return ad._unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.value.shape), gb
+
+    return Var(out, (a, b), back)
+
+
+def swap_last2(a: Var) -> Var:
+    return Var(np.swapaxes(a.value, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
+
+
+def softmax_last(a: Var) -> Var:
+    z = a.value - a.value.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        return ((g - (g * p).sum(axis=-1, keepdims=True)) * p,)
+
+    return Var(p, (a,), back)
+
+
+def write_idx_pair(tmp_path, pixels, labels, image_magic=0x803, label_magic=0x801, prefix=""):
+    """Hand-built IDX fixture files (big-endian)."""
+    n, rows, cols = pixels.shape
+    img = tmp_path / f"{prefix}images.idx"
+    with open(img, "wb") as f:
+        f.write(struct.pack(">IIII", image_magic, n, rows, cols))
+        f.write(pixels.astype(np.uint8).tobytes())
+    lab = tmp_path / f"{prefix}labels.idx"
+    with open(lab, "wb") as f:
+        f.write(struct.pack(">II", label_magic, len(labels)))
+        f.write(np.asarray(labels, dtype=np.uint8).tobytes())
+    return str(img), str(lab)
 
 
 def num_params(store) -> int:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import mul
+from conftest import matmul, mul, scale, softmax_last, swap_last2
 
 from sparselab import autodiff as ad
 from sparselab.autodiff import Var, backward
@@ -56,12 +56,12 @@ def test_mul_broadcast():
 
 
 def test_matmul_2d():
-    check_op(ad.matmul, [(4, 3), (3, 5)])
+    check_op(matmul, [(4, 3), (3, 5)])
 
 
 def test_matmul_batched():
-    check_op(ad.matmul, [(2, 4, 3), (3, 5)])
-    check_op(ad.matmul, [(2, 4, 3), (2, 3, 5)])
+    check_op(matmul, [(2, 4, 3), (3, 5)])
+    check_op(matmul, [(2, 4, 3), (2, 3, 5)])
 
 
 def test_relu():
@@ -69,7 +69,7 @@ def test_relu():
 
 
 def test_reshape_swap():
-    check_op(lambda a: ad.swap_last2(ad.reshape(a, (2, 3, 4))), [(24,)])
+    check_op(lambda a: swap_last2(ad.reshape(a, (2, 3, 4))), [(24,)])
 
 
 def test_mean_axis():
@@ -77,7 +77,7 @@ def test_mean_axis():
 
 
 def test_softmax_last():
-    check_op(ad.softmax_last, [(4, 6)])
+    check_op(softmax_last, [(4, 6)])
 
 
 def test_layer_norm():
@@ -91,6 +91,71 @@ def test_take_rows():
 def test_embedding_scatter():
     ids = np.array([[0, 2], [2, 1]])
     check_op(lambda t: ad.embedding(t, ids), [(4, 3)])
+
+
+@pytest.mark.parametrize("x_shape", [(4, 3), (2, 4, 3)], ids=["2d", "3d"])
+def test_linear(x_shape):
+    check_op(ad.linear, [x_shape, (3, 5), (5,)])
+
+
+def test_linear_const_input():
+    x = Var(Rng(5).normals(24).reshape(2, 4, 3), const=True)
+    check_op(lambda w, b: ad.linear(x, w, b), [(3, 5), (5,)])
+    assert x.grad is None
+
+
+def test_attention():
+    check_op(lambda q, k, v: ad.attention(q, k, v, 0.7), [(2, 3, 4), (2, 3, 4), (2, 3, 5)])
+
+
+def _grads_from(build, arrays, g, const=()):
+    """Output value and leaf gradients of `build` on fresh leaves, with `g`
+    fed back as the output's gradient."""
+    leaves = [Var(a, const=i in const) for i, a in enumerate(arrays)]
+    out = build(*leaves)
+    backward(Var(np.zeros((), out.value.dtype), (out,), lambda _: (g,)))
+    return out.value, [v.grad for v in leaves]
+
+
+def _assert_same_bytes(got, want):
+    (got_out, got_grads), (want_out, want_grads) = got, want
+    assert got_out.dtype == want_out.dtype and got_out.tobytes() == want_out.tobytes()
+    for a, b in zip(got_grads, want_grads):
+        assert (a is None and b is None) or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+def test_attention_matches_composed_ops_bit_for_bit():
+    """One node, the same numpy calls as matmul, scale, softmax and matmul."""
+    rng = Rng(21)
+    arrays = [rng.normals(160).reshape(4, 5, 8).astype(np.float32) for _ in range(3)]
+    g = rng.normals(160).reshape(4, 5, 8).astype(np.float32)
+    c = 1.0 / np.sqrt(8.0)
+    fused = _grads_from(lambda q, k, v: ad.attention(q, k, v, c), arrays, g)
+    composed = _grads_from(
+        lambda q, k, v: matmul(softmax_last(scale(matmul(q, swap_last2(k)), c)), v), arrays, g)
+    _assert_same_bytes(fused, composed)
+
+
+@pytest.mark.parametrize("const", [(), (0,)], ids=["leaf", "const"])
+def test_linear_2d_matches_add_matmul_bit_for_bit(const):
+    """On 2-D inputs one node makes the numpy calls of add(matmul(x, w), b)."""
+    rng = Rng(22)
+    arrays = [rng.normals(n).reshape(s).astype(np.float32)
+              for n, s in ((32 * 24, (32, 24)), (24 * 10, (24, 10)), (10, (10,)))]
+    g = rng.normals(320).reshape(32, 10).astype(np.float32)
+    fused = _grads_from(ad.linear, arrays, g, const)
+    composed = _grads_from(lambda x, w, b: ad.add(matmul(x, w), b), arrays, g, const)
+    _assert_same_bytes(fused, composed)
+
+
+def test_three_consumers_sum_in_forward_order():
+    """Terms 1e8, -1e8 and 1 give 1 only as (g1 + g2) + g3; any other order
+    of the f32 sums gives 0."""
+    a = Var(np.float32([1.0]))
+    c1, c2, c3 = scale(a, 1e8), scale(a, -1e8), scale(a, 1.0)
+    backward(ad.add(ad.add(c1, c2), c3))
+    assert (np.float32(1e8) + np.float32(1.0)) - np.float32(1e8) == 0.0
+    assert a.grad.dtype == np.float32 and a.grad.tobytes() == np.float32([1.0]).tobytes()
 
 
 CONV_SHAPES = [
@@ -238,10 +303,10 @@ def test_grad_accumulates_on_reuse():
 def test_dtype_preserved():
     a = Var(np.ones((2, 2), dtype=np.float32))
     b = Var(np.ones((2, 2), dtype=np.float32))
-    assert ad.matmul(a, b).value.dtype == np.float32
+    assert matmul(a, b).value.dtype == np.float32
     a64 = Var(np.ones((2, 2), dtype=np.float64))
     b64 = Var(np.ones((2, 2), dtype=np.float64))
-    assert ad.matmul(a64, b64).value.dtype == np.float64
+    assert matmul(a64, b64).value.dtype == np.float64
 
 
 def _placed(values, byte_offset):
@@ -278,9 +343,9 @@ def test_relu_matches_where_byte_for_byte(dtype):
 def test_no_tape_vars_keep_no_parents():
     a, b = Var(np.ones((2, 3))), Var(np.ones((3, 2)))
     with ad.no_tape():
-        out = ad.relu(ad.matmul(a, b))
+        out = ad.relu(matmul(a, b))
     assert out._parents == () and out._backprop is None
-    taped = ad.relu(ad.matmul(a, b))
+    taped = ad.relu(matmul(a, b))
     assert len(taped._parents) == 1 and taped._backprop is not None
 
 
@@ -295,11 +360,11 @@ def test_no_tape_restored_after_exception():
 
 
 def _conv_head(x, w, b, m):
-    return ad.matmul(ad.reshape(ad.conv2d(x, w, b), (2, -1)), m)
+    return matmul(ad.reshape(ad.conv2d(x, w, b), (2, -1)), m)
 
 
 def _two_layers(x, w, b, m):
-    return ad.matmul(ad.relu(ad.add(ad.matmul(x, w), b)), m)
+    return matmul(ad.relu(ad.add(matmul(x, w), b)), m)
 
 
 @pytest.mark.parametrize("build,shapes", [

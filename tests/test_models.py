@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    fd_gradients, max_rel_error, micro_cnn_spec, mlp_spec, mul, num_params, tiny_transformer_spec,
+    fd_gradients, matmul, max_rel_error, micro_cnn_spec, mlp_spec, mul, num_params, scale,
+    tiny_transformer_spec,
 )
 
 from sparselab import autodiff as ad
@@ -100,11 +101,11 @@ def test_scalar_quadratic_gradient():
 
     w = Var(np.array([[3.0]]))
     x = Var(np.array([[1.0]]))
-    out = ad.matmul(x, w)
+    out = matmul(x, w)
     # 0.5*(out-1)^2 built from primitives
     diff = ad.add(out, Var(np.array([[-1.0]])))
     sq = mul(diff, diff)
-    loss = ad.scale(sq, 0.5)
+    loss = scale(sq, 0.5)
     total = Var(np.asarray(loss.value.sum()), (loss,), lambda g: (np.ones_like(loss.value) * g,))
     backward(total)
     assert w.grad[0, 0] == pytest.approx(2.0)

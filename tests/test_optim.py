@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from types import SimpleNamespace
+
 from conftest import clone_store, tiny_transformer_spec
 from sparselab import runner
+from sparselab.checkpoint import save_checkpoint
 from sparselab.config import ExperimentConfig
 from sparselab.data import DatasetSpec, build_dataset
 from sparselab.errors import NonFiniteError, ScheduleError
-from sparselab.models import ParamStore, build_model
+from sparselab.models import ParamStore, build_model, reinit_head
 from sparselab.optim import LrSchedule, SgdState, lr_at, reset_momentum, sgd_step
 from sparselab.rng import STREAM_DATA, Rng
 from sparselab.sparsify import SparsityDistribution, magnitude_mask
-from sparselab.transfer import TransferHyper, transfer_run
+from sparselab.transfer import TransferHyper, layer_groups, trainable_set, transfer_run
 
 
 def make_store(values, mask=None, trainable=True):
@@ -206,6 +209,140 @@ def test_zero_momentum_stores_negative_zero_gradient_as_positive_zero():
     sgd_step(store, {"w": np.float32([-0.0, -2.0])}, state, 0)
     assert state.buffers["w"].tobytes() == np.float32([0.0, 0.0]).tobytes()
     assert store["w"].weights.tobytes() == np.float32([1.0, 0.0]).tobytes()
+
+
+# -- the flat step against the per-tensor step ---------------------------------
+
+
+def per_tensor_sgd_step(store, grads, state, step):
+    """The step as it was before the flat vectors: one pass of numpy calls
+    per tensor, frozen tensors skipped. `state` needs the hyper-parameters
+    and a `buffers` dict of momentum arrays."""
+    lr = np.float32(lr_at(state.schedule, step))
+    beta = np.float32(state.momentum)
+    wd = np.float32(state.weight_decay)
+    for name, entry in store.items():
+        if not entry.trainable:
+            continue
+        w = entry.weights
+        m = state.buffers[name]
+        if wd != 0.0:
+            g = np.multiply(w, wd)
+            g += grads[name]
+        else:
+            g = grads[name].copy()
+        if entry.mask is not None:
+            g *= entry.mask
+        if beta != 0.0:
+            m *= beta
+            m += g
+        else:
+            np.add(g, 0.0, out=m)
+        w -= np.multiply(m, lr, out=g)
+        if not np.all(np.isfinite(w)):
+            raise NonFiniteError(f"non-finite update for {name}")
+
+
+def per_tensor_state(store, schedule, momentum, weight_decay):
+    return SimpleNamespace(schedule=schedule, momentum=momentum, weight_decay=weight_decay,
+                           buffers={n: np.zeros_like(e.weights) for n, e in store.items()})
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_flat_step_bytes_equal_per_tensor_step(momentum, weight_decay):
+    """A pruned tiny transformer through the transfer stages, a fresh state per
+    stage as `transfer` makes them, frozen tensors and a mask change mid-stage:
+    weights and momentum keep the bytes of the per-tensor step, +0.0 included."""
+    spec = tiny_transformer_spec(vocab=6, max_len=4, d_model=8, ff_dim=12, blocks=2)
+    model = build_model(spec, Rng(3))
+    rng = np.random.default_rng(7)
+
+    def random_masks():
+        weights = {n: model.store[n].weights for n in model.prunable_names()}
+        noisy = {n: w + rng.normal(size=w.shape).astype(np.float32) for n, w in weights.items()}
+        return magnitude_mask(noisy, SparsityDistribution(kind="global", target=0.5))
+
+    for name, mask in random_masks().items():
+        model.store.set_mask(name, mask)
+    ref = clone_store(model.store)
+    groups = layer_groups(model)
+    schedule = LrSchedule(peak=0.1, total_steps=4)
+    for stage in range(groups.n_blocks + 2):
+        names = trainable_set(groups, stage)
+        for s in (model.store, ref):
+            for name, entry in s.items():
+                entry.trainable = name in names
+        state = SgdState(model.store, schedule, momentum, weight_decay)
+        ref_state = per_tensor_state(ref, schedule, momentum, weight_decay)
+        for step in range(4):
+            if stage == 1 and step == 2:
+                masks = random_masks()
+                changed = {n: (model.store[n].mask != 0.0) != (m != 0.0) for n, m in masks.items()}
+                for s, st_ in ((model.store, state), (ref, ref_state)):
+                    for name, mask in masks.items():
+                        s.set_mask(name, mask)
+                    reset_momentum(st_, changed)
+            grads = {n: rng.normal(size=e.weights.shape).astype(np.float32)
+                     for n, e in model.store.items()}
+            for name, entry in model.store.items():
+                if entry.mask is not None:
+                    dead = entry.mask == 0.0
+                    grads[name][dead] = -np.abs(grads[name][dead])
+            sgd_step(model.store, grads, state, step)
+            per_tensor_sgd_step(ref, grads, ref_state, step)
+            for name, entry in model.store.items():
+                assert entry.weights.tobytes() == ref[name].weights.tobytes(), (stage, name)
+                assert state.buffers[name].tobytes() == ref_state.buffers[name].tobytes()
+
+
+def test_weights_stay_views_of_the_flat_vector(tmp_path):
+    """set_mask, reinit_head and a checkpoint save keep every entry's weights
+    the view the state made, so the next step moves what the store holds."""
+    model = build_model(tiny_transformer_spec(vocab=6, max_len=4, d_model=8, ff_dim=12), Rng(2))
+    state = SgdState(model.store, LrSchedule(kind="constant", peak=0.1, total_steps=10))
+    views = {n: e.weights for n, e in model.store.items()}
+    flat = state._w
+    name = model.prunable_names()[0]
+    model.store.set_mask(name, (model.store[name].weights > 0).astype(np.float32))
+    reinit_head(model, Rng(9))
+    save_checkpoint(str(tmp_path / "ckpt.splb"), model.store, meta={}, momentum=state.buffers)
+    before = {n: w.copy() for n, w in views.items()}
+    sgd_step(model.store, {n: np.ones_like(w) for n, w in views.items()}, state, 0)
+    assert state._w is flat
+    for n, e in model.store.items():
+        assert e.weights is views[n] and e.weights.base is flat
+        assert state.buffers[n].shape == e.weights.shape
+        assert not np.array_equal(e.weights, before[n])
+
+
+def test_freezing_mid_run_keeps_weights_and_drops_momentum():
+    store = ParamStore()
+    store.add("a", np.float32([1.0, -0.0, 2.0]))
+    store.add("b", np.float32([3.0, 4.0]))
+    state = SgdState(store, LrSchedule(kind="constant", peak=0.1, total_steps=10), 0.9, 1e-3)
+    grads = {"a": np.float32([1.0, -1.0, 0.5]), "b": np.float32([2.0, 1.0])}
+    sgd_step(store, grads, state, 0)
+    store["a"].trainable = False
+    frozen = store["a"].weights.tobytes()
+    for step in (1, 2):
+        sgd_step(store, grads, state, step)
+        assert store["a"].weights.tobytes() == frozen
+        assert state.buffers["a"].tobytes() == np.zeros(3, np.float32).tobytes()
+    store["a"].trainable = True
+    sgd_step(store, grads, state, 3)
+    assert store["a"].weights.tobytes() != frozen
+
+
+def test_non_finite_update_names_its_tensor():
+    store = ParamStore()
+    for name in ("a", "b", "c"):
+        store.add(name, np.ones(3, dtype=np.float32))
+    state = SgdState(store, LrSchedule(kind="constant", peak=0.1, total_steps=10))
+    grads = {n: np.ones(3, dtype=np.float32) for n in ("a", "b", "c")}
+    grads["b"][1] = np.inf
+    with pytest.raises(NonFiniteError, match="non-finite update for b$"):
+        sgd_step(store, grads, state, 0)
 
 
 def assert_dead_entries_positive_zero(store, state):

@@ -91,6 +91,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         raw = f.read()
     if raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 16:
+        raise CheckpointError(f"{path}: truncated before the header length")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
@@ -112,9 +114,9 @@ def load_checkpoint(path: str) -> Checkpoint:
             name, kind, shape, start = rec["name"], rec["kind"], tuple(rec["shape"]), rec["offset"]
         except (KeyError, TypeError) as e:
             raise CheckpointError(f"{path}: malformed tensor record {rec!r}") from e
-        if not (isinstance(name, str) and isinstance(kind, str)
-                and all(isinstance(n, int) and n >= 0 for n in shape)
-                and isinstance(start, int) and start >= 0):
+        if not (isinstance(name, str) and isinstance(kind, str)  # JSON true is no size
+                and all(type(n) is int and n >= 0 for n in shape)
+                and type(start) is int and start >= 0):
             raise CheckpointError(f"{path}: tensor record {rec!r} has a bad name, shape or offset")
         count = math.prod(shape)
         if start + 4 * count > len(payload):

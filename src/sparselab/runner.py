@@ -392,14 +392,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
         driver = _build_driver(cfg)
     except ScheduleError as e:
         raise ConfigError(str(e)) from e
+    root = Rng(cfg.seed)
+    data = build_dataset(cfg.dataset, root.stream(STREAM_DATA))
+    # IDX files give their sizes only once read, so the model is checked against them here
+    arch = ARCHS[cfg.model.arch]
+    n_in, n_out = arch.input_dim(cfg.model), arch.output_dim(cfg.model)
+    width = data.x_train.shape[1] if data.input_kind == "vector" else None
+    if n_in != width or n_out < data.classes:
+        raise ConfigError(f"model maps {n_in or 'token'} inputs to {n_out} classes, but the "
+                          f"dataset has {width or 'token'} inputs and {data.classes} classes")
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(
         os.path.join(out_dir, "config.resolved.json"),
         json.dumps(cfg.resolved(), indent=2, sort_keys=True) + "\n",
     )
-
-    root = Rng(cfg.seed)
-    data = build_dataset(cfg.dataset, root.stream(STREAM_DATA))
     model = build_model(cfg.model, root.stream(STREAM_INIT))
 
     total_epochs = cfg.effective_total

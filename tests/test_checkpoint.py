@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import clone_store, micro_cnn_spec, mlp_spec, tiny_transformer_spec
 
@@ -18,6 +22,7 @@ from sparselab.cli import main
 from sparselab.config import to_tree
 from sparselab.errors import CheckpointError
 from sparselab.models import build_model
+from sparselab.optim import LrSchedule, SgdState
 from sparselab.rng import Rng
 from sparselab.sparsify import SparsityDistribution, magnitude_mask
 
@@ -181,6 +186,83 @@ def test_malformed_header_is_checkpoint_error(tmp_path, capsys, header, loads):
     assert main(["flops", "--checkpoint", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _fuzz_base() -> bytes:
+    """A valid checkpoint with masks and momentum, as bytes."""
+    model = sparse_model(3)
+    sgd = SgdState(model.store, LrSchedule(total_steps=1))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ckpt.splb")
+        save_checkpoint(path, model.store, {"epoch": 1, "model_spec": to_tree(model.spec)},
+                        momentum=sgd.buffers)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+FUZZ_BASE = _fuzz_base()
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.text(max_size=6),
+    st.floats(allow_nan=False, allow_infinity=False), st.lists(st.integers(-5, 2**40), max_size=4),
+    st.just({}), st.just([]),
+)
+
+
+def _json_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _json_paths(value, prefix + (key,))
+
+
+@st.composite
+def _damaged_checkpoints(draw):
+    raw = FUZZ_BASE
+    (n,) = struct.unpack_from("<Q", raw, 8)
+    action = draw(st.sampled_from(["truncate", "length", "bytes", "value", "drop"]))
+    if action == "truncate":
+        return raw[: draw(st.integers(0, 16) | st.integers(0, len(raw) - 1))]
+    if action == "length":
+        return raw[:8] + struct.pack("<Q", draw(st.integers(0, 2**64 - 1))) + raw[16:]
+    if action == "bytes":
+        out = bytearray(raw)
+        for _ in range(draw(st.integers(1, 3))):
+            out[draw(st.integers(16, 16 + n - 1))] = draw(st.integers(0, 255))
+        return bytes(out)
+    header = json.loads(raw[16 : 16 + n])
+    *parents, key = draw(st.sampled_from(list(_json_paths(header))))
+    node = header
+    for p in parents:
+        node = node[p]
+    if action == "value":
+        node[key] = draw(_JSON_LEAVES)
+    else:
+        node.pop(key)
+    blob = json.dumps(header).encode("utf-8")
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n :]
+
+
+@given(raw=_damaged_checkpoints())
+@settings(max_examples=300, deadline=None)
+def test_damaged_checkpoint_header_one_error_line(raw):
+    """A truncated checkpoint, or one whose header is mutated, either still
+    describes a model (exit 0) or ends in one `error:` line and exit 1,
+    never in a traceback."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ckpt.splb")
+        with open(path, "wb") as f:
+            f.write(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["flops", "--checkpoint", path])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+    if len(raw) < len(FUZZ_BASE) and raw == FUZZ_BASE[: len(raw)]:
+        assert code == 1
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

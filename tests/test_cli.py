@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import write_idx_pair
 from sparselab.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -310,6 +311,9 @@ BAD_CONFIGS = {
     "missing-idx-file": ({"model.layer_dims": [784, 32, 10], "dataset": {
         "kind": "idx-images", "images_path": "missing-images.idx",
         "labels_path": "missing-labels.idx"}}, 1),
+    # IDX_TMP: 12 images of 4x4 pixels labelled 0..3, written by the test
+    "idx-input-width-mismatch": ({"dataset": "IDX_TMP"}, 2),
+    "idx-class-count-mismatch": ({"model.layer_dims": [16, 8, 3], "dataset": "IDX_TMP"}, 2),
 }
 
 
@@ -325,6 +329,10 @@ def test_bad_config_one_error_line(tmp_path, capsys, name):
         for p in parents:
             node = node.setdefault(p, {})
         node[key] = value
+    if tree["dataset"] == "IDX_TMP":
+        pixels = np.arange(12 * 16).reshape(12, 4, 4) % 256
+        images, labels = write_idx_pair(tmp_path, pixels, [i % 4 for i in range(12)])
+        tree["dataset"] = {"kind": "idx-images", "images_path": images, "labels_path": labels}
     out = str(tmp_path / "run")
     assert main(["train", "--config", write_cfg(tmp_path, "cfg.json", tree), "--out", out]) == code
     err = capsys.readouterr().err

@@ -1,8 +1,7 @@
-import struct
-
 import numpy as np
 import pytest
 
+from conftest import write_idx_pair
 from sparselab.data import (
     DatasetSpec,
     build_dataset,
@@ -12,20 +11,6 @@ from sparselab.data import (
 )
 from sparselab.errors import ConfigError, DataError
 from sparselab.rng import Rng
-
-
-def write_idx_pair(tmp_path, pixels, labels, image_magic=0x803, label_magic=0x801, prefix=""):
-    """Hand-built IDX fixture files (big-endian)."""
-    n, rows, cols = pixels.shape
-    img = tmp_path / f"{prefix}images.idx"
-    with open(img, "wb") as f:
-        f.write(struct.pack(">IIII", image_magic, n, rows, cols))
-        f.write(pixels.astype(np.uint8).tobytes())
-    lab = tmp_path / f"{prefix}labels.idx"
-    with open(lab, "wb") as f:
-        f.write(struct.pack(">II", label_magic, len(labels)))
-        f.write(np.asarray(labels, dtype=np.uint8).tobytes())
-    return str(img), str(lab)
 
 
 def test_idx_two_image_fixture(tmp_path):

@@ -81,9 +81,9 @@ class ParamEntry:
 class ParamStore:
     """Ordered name -> (weights, optional mask, trainable flag).
 
-    `version` counts the calls to `add` and `set_mask`, so an optimizer can
-    tell when the layout or a mask changed. Write weights in place (an
-    optimizer may hold them as views of one vector); replace them with `add`."""
+    `version` counts the calls to `add` and `set_mask`, so an optimizer that
+    holds the weights as views of one vector sees when a mask changed or a
+    tensor was added or replaced. Write weights in place."""
 
     def __init__(self):
         self._entries: dict[str, ParamEntry] = {}

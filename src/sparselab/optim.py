@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ScheduleError
+from .errors import NonFiniteError, ScheduleError, ShapeError
 from .models import ParamStore
 
 LINEAR_WARMUP_DECAY = "linear-warmup-linear-decay"
@@ -63,10 +63,11 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
 
 
 class SgdState:
-    """Schedule, hyper-parameters and momentum of one run over `store`.
-
-    `buffers` maps each name to its momentum, a view of the flat vector in
-    the tensor's shape, so a checkpoint stores it as before."""
+    """Schedule, hyper-parameters and momentum of one run over `store`. The
+    state fixes the store's tensors: adding or replacing one afterwards is a
+    `ShapeError` at the next step. `buffers` maps each name to its momentum,
+    a view of the flat vector in the tensor's shape, so a checkpoint stores
+    it as before."""
 
     def __init__(
         self,
@@ -82,48 +83,39 @@ class SgdState:
         self.schedule = schedule
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.buffers: dict[str, np.ndarray] = {}
-        self._bind(store)
-
-    def _bind(self, store: ParamStore) -> None:
-        """Move the store's weights into one vector; momentum carries over by name."""
-        self._store, old, self.buffers, self._spans = store, self.buffers, {}, {}
+        self._store = store
         n = sum(e.weights.size for _, e in store.items())
         self._w, self._m = np.empty(n, np.float32), np.zeros(n, np.float32)
         self._g, self._scratch = np.empty_like(self._w), np.empty_like(self._w)
+        self.buffers: dict[str, np.ndarray] = {}
+        self._spans: dict[str, tuple[int, int]] = {}
         a = 0
         for name, e in store.items():
             b, shape = a + e.weights.size, e.weights.shape
             self._w[a:b] = e.weights.reshape(-1)
             e.weights = self._w[a:b].reshape(shape)
             self.buffers[name] = self._m[a:b].reshape(shape)
-            if name in old and old[name].shape == shape:
-                self.buffers[name][...] = old[name]
             self._spans[name], a = (a, b), b
         self._refresh()
 
     def _refresh(self) -> None:
         """Rebuild the keep factors and the gradient sources from masks and flags."""
-        self._version = self._store.version
-        self._flags = tuple(e.trainable for _, e in self._store.items())
+        store = self._store
+        if store.names() != list(self._spans) or any(
+            e.weights.base is not self._w for _, e in store.items()
+        ):
+            raise ShapeError("parameters were added or replaced after the SGD state was made")
+        self._version = store.version
+        self._flags = tuple(e.trainable for _, e in store.items())
         keep, zeros = np.ones_like(self._w), np.zeros_like(self._w)
         self._sources = []  # (name, None): copy its gradient in; (name, zeros): frozen
-        for (name, e), (a, b) in zip(self._store.items(), self._spans.values()):
+        for (name, e), (a, b) in zip(store.items(), self._spans.values()):
             if not e.trainable:
                 keep[a:b] = self._m[a:b] = 0.0
             elif e.mask is not None:
                 keep[a:b] = e.mask.reshape(-1)
             self._sources.append((name, None if e.trainable else zeros[a:b]))
         self._keep = None if keep.all() else keep
-
-    def _sync(self, store: ParamStore) -> None:
-        """Follow the store: re-flatten it if its layout changed, then rebuild the keep factors."""
-        if store is not self._store or store.names() != list(self._spans) or any(
-            e.weights.base is not self._w for _, e in store.items()
-        ):
-            self._bind(store)
-        else:
-            self._refresh()
 
 
 def sgd_step(store: ParamStore, grads: dict[str, np.ndarray], state: SgdState, step: int) -> None:
@@ -135,9 +127,10 @@ def sgd_step(store: ParamStore, grads: dict[str, np.ndarray], state: SgdState, s
     lr = np.float32(lr_at(state.schedule, step))
     beta = np.float32(state.momentum)
     wd = np.float32(state.weight_decay)
-    if (store is not state._store or store.version != state._version
-            or tuple(e.trainable for _, e in store.items()) != state._flags):
-        state._sync(store)
+    if store is not state._store:
+        raise ShapeError("sgd_step needs the store its SGD state was made for")
+    if store.version != state._version or tuple(e.trainable for _, e in store.items()) != state._flags:
+        state._refresh()
     w, m, g = state._w, state._m, state._g
     if w.size:
         np.concatenate([grads[n] if z is None else z for n, z in state._sources], axis=None, out=g)

@@ -9,7 +9,7 @@ from sparselab import runner
 from sparselab.checkpoint import save_checkpoint
 from sparselab.config import ExperimentConfig
 from sparselab.data import DatasetSpec, build_dataset
-from sparselab.errors import NonFiniteError, ScheduleError
+from sparselab.errors import NonFiniteError, ScheduleError, ShapeError
 from sparselab.models import ParamStore, build_model, reinit_head
 from sparselab.optim import LrSchedule, SgdState, lr_at, reset_momentum, sgd_step
 from sparselab.rng import STREAM_DATA, Rng
@@ -332,6 +332,17 @@ def test_freezing_mid_run_keeps_weights_and_drops_momentum():
     store["a"].trainable = True
     sgd_step(store, grads, state, 3)
     assert store["a"].weights.tobytes() != frozen
+
+
+def test_step_rejects_a_changed_or_foreign_store():
+    store = make_store([1.0, 2.0])
+    state = SgdState(store, LrSchedule(kind="constant", peak=0.1, total_steps=10))
+    grads = {"w": np.ones(2, dtype=np.float32)}
+    with pytest.raises(ShapeError):
+        sgd_step(clone_store(store), grads, state, 0)
+    store.add("w", np.zeros(2))
+    with pytest.raises(ShapeError):
+        sgd_step(store, grads, state, 0)
 
 
 def test_non_finite_update_names_its_tensor():

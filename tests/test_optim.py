@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from types import SimpleNamespace
 
 from conftest import clone_store, tiny_transformer_spec
-from sparselab import runner
+from sparselab import optim, runner
 from sparselab.checkpoint import save_checkpoint
 from sparselab.config import ExperimentConfig
 from sparselab.data import DatasetSpec, build_dataset
@@ -248,12 +248,16 @@ def per_tensor_state(store, schedule, momentum, weight_decay):
                            buffers={n: np.zeros_like(e.weights) for n, e in store.items()})
 
 
+@pytest.mark.parametrize("own_update_min", [optim.OWN_UPDATE_MIN, 64], ids=["default", "64"])
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
-def test_flat_step_bytes_equal_per_tensor_step(momentum, weight_decay):
+def test_flat_step_bytes_equal_per_tensor_step(monkeypatch, own_update_min, momentum,
+                                               weight_decay):
     """A pruned tiny transformer through the transfer stages, a fresh state per
     stage as `transfer` makes them, frozen tensors and a mask change mid-stage:
-    weights and momentum keep the bytes of the per-tensor step, +0.0 included."""
+    weights and momentum keep the bytes of the per-tensor step, +0.0 included.
+    At a threshold of 64 weights its matrices are updated on their own."""
+    monkeypatch.setattr(optim, "OWN_UPDATE_MIN", own_update_min)
     spec = tiny_transformer_spec(vocab=6, max_len=4, d_model=8, ff_dim=12, blocks=2)
     model = build_model(spec, Rng(3))
     rng = np.random.default_rng(7)

@@ -2,10 +2,13 @@
 
 `SgdState` moves the store's weights into one flat f32 vector (each
 `entry.weights` becomes a view of it) and keeps the momentum in one vector
-of the same layout, so a step is a handful of numpy calls whatever the
-number of tensors. A third vector holds one keep factor per weight: the f32
-0/1 mask of a masked tensor, 1 for an unmasked one and 0 for a frozen
-(non-trainable) one, whose gradient is copied in as zeros.
+of the same layout. The small tensors lie first and share every numpy call
+of a step, whatever their number: their gradients are copied into one
+vector, and one more holds a keep factor per weight, the f32 0/1 mask of a
+masked tensor, 1 for an unmasked one and 0 for a frozen (non-trainable)
+one, whose gradient is copied in as zeros. Each large tensor is updated on
+its own, straight from its gradient and with its mask as keep factors; a
+frozen one is left out.
 
 The decayed gradient g + wd*w is multiplied by its keep factor before the
 momentum update, so masked-out entries receive no gradient, no decay and no
@@ -93,14 +96,12 @@ class SgdState:
         self._store = store
         n = sum(e.weights.size for _, e in store.items())
         self._w, self._m = np.empty(n, np.float32), np.zeros(n, np.float32)
-        self._g, self._scratch = np.empty_like(self._w), np.empty_like(self._w)
         # the small tensors first, in one run that shares every numpy call
-        layout = sorted(store.names(), key=lambda name: store[name].weights.size >= OWN_UPDATE_MIN)
-        sizes = {name: store[name].weights.size for name in layout}
-        self._small = sum(size for size in sizes.values() if size < OWN_UPDATE_MIN)
-        spans, a = {}, 0
-        for name in layout:
-            spans[name], a = (a, a + sizes[name]), a + sizes[name]
+        self._layout = sorted(store.names(), key=lambda n: store[n].weights.size >= OWN_UPDATE_MIN)
+        sizes = [store[n].weights.size for n in self._layout]
+        self._small = sum(size for size in sizes if size < OWN_UPDATE_MIN)
+        ends = np.cumsum([0, *sizes]).tolist()
+        spans = dict(zip(self._layout, zip(ends, ends[1:])))
         self.buffers: dict[str, np.ndarray] = {}
         self._spans: dict[str, tuple[int, int]] = {}  # store order
         for name, e in store.items():
@@ -109,11 +110,12 @@ class SgdState:
             e.weights = self._w[a:b].reshape(shape)
             self.buffers[name] = self._m[a:b].reshape(shape)
             self._spans[name] = (a, b)
-        self._layout = layout
+        self._g = np.empty(self._small, np.float32)  # the small tensors' gradients
+        self._scratch = np.empty(max([self._small, *sizes], default=0), np.float32)
         self._refresh()
 
     def _refresh(self) -> None:
-        """Rebuild the keep factors and the update runs from masks and flags."""
+        """Rebuild the update runs and the small run's keep factors from masks and flags."""
         store = self._store
         if store.names() != list(self._spans) or any(
             e.weights.base is not self._w for _, e in store.items()
@@ -121,22 +123,24 @@ class SgdState:
             raise ShapeError("parameters were added or replaced after the SGD state was made")
         self._version = store.version
         self._flags = tuple(e.trainable for _, e in store.items())
-        keep, zeros = np.ones_like(self._w), np.zeros_like(self._w)
+        keep, zeros = np.ones(self._small, np.float32), np.zeros(self._small, np.float32)
         small = []  # (name, None): copy its gradient in; (name, zeros): frozen
-        self._runs = []  # (start, end, name or the small tensors' sources, keep factors or None)
+        self._runs = []  # (start, end, a large tensor's name or the small sources, keep or None)
         for name in self._layout:
             e, (a, b) = store[name], self._spans[name]
             if not e.trainable:
-                keep[a:b] = self._m[a:b] = 0.0
+                self._m[a:b] = 0.0
+            if b - a >= OWN_UPDATE_MIN:
+                if e.trainable:  # a frozen large tensor is left out
+                    self._runs.append((a, b, name, None if e.mask is None else e.mask.reshape(-1)))
+                continue
+            if not e.trainable:
+                keep[a:b] = 0.0
             elif e.mask is not None:
                 keep[a:b] = e.mask.reshape(-1)
-            if b - a < OWN_UPDATE_MIN:
-                small.append((name, None if e.trainable else zeros[a:b]))
-            elif e.trainable:  # a frozen large tensor is left out
-                self._runs.append((a, b, name, None if keep[a:b].all() else keep[a:b]))
+            small.append((name, None if e.trainable else zeros[a:b]))
         if small:
-            k = keep[: self._small]
-            self._runs.insert(0, (0, self._small, small, None if k.all() else k))
+            self._runs.insert(0, (0, self._small, small, None if keep.all() else keep))
 
 
 def _update(w, m, x, g, keep, lr, beta, wd) -> None:
@@ -164,7 +168,8 @@ def sgd_step(store: ParamStore, grads: dict[str, np.ndarray], state: SgdState, s
     wd = np.float32(state.weight_decay)
     if store is not state._store:
         raise ShapeError("sgd_step needs the store its SGD state was made for")
-    if store.version != state._version or tuple(e.trainable for _, e in store.items()) != state._flags:
+    flags = tuple(e.trainable for _, e in store.items())
+    if store.version != state._version or flags != state._flags:
         state._refresh()
     w, m, x = state._w, state._m, state._scratch
     for a, b, src, keep in state._runs:
@@ -173,7 +178,7 @@ def sgd_step(store: ParamStore, grads: dict[str, np.ndarray], state: SgdState, s
         else:
             g = np.concatenate([grads[n] if z is None else z for n, z in src], axis=None,
                                out=state._g[a:b])
-        _update(w[a:b], m[a:b], x[a:b], g, keep, lr, beta, wd)
+        _update(w[a:b], m[a:b], x[: b - a], g, keep, lr, beta, wd)
     if not np.isfinite(w).all():
         bad = next(n for n, (a, b) in state._spans.items() if not np.isfinite(w[a:b]).all())
         raise NonFiniteError(f"non-finite update for {bad}")

@@ -1,8 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-from types import SimpleNamespace
 
 from conftest import clone_store, tiny_transformer_spec
 from sparselab import optim, runner

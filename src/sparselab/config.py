@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .data import DatasetSpec
-from .errors import ConfigError
+from .errors import ConfigError, LayerCollapseError
 from .models import ARCHS, ModelSpec
 from .optim import SCHEDULES
-from .sparsify import DISTRIBUTIONS
+from .sparsify import DISTRIBUTIONS, SparsityDistribution, scoring_pools
 
 METHODS = ("dense", "gmp", "rigl", "acdc", "oneshot")
 
@@ -177,10 +177,22 @@ class ExperimentConfig:
                 "must be positive"
             )
         arch, data, m = ARCHS[self.model.arch], self.dataset, self.model
-        prunable = [d.name for d in arch.params(self.model) if d.prunable]
-        unknown = sorted(set(self.sparsity.keep_dense) - set(prunable))
+        sp = self.sparsity
+        shapes = {d.name: d.shape for d in arch.params(m) if d.prunable}
+        unknown = sorted(set(sp.keep_dense) - set(shapes))
         if unknown:
-            raise ConfigError(f"sparsity.keep_dense {unknown}: not among the prunable {prunable}")
+            raise ConfigError(f"sparsity.keep_dense {unknown}: not among the prunable {list(shapes)}")
+        targets = {"sparsity.target": sp.target} if self.method != "dense" else {}
+        if self.method == "acdc" and None not in (self.acdc.ramp_start, self.acdc.ramp_end):
+            targets["acdc.ramp_start_sparsity"] = self.acdc.ramp_start_sparsity
+        pooled = {n: shape for n, shape in shapes.items() if n not in sp.keep_dense}
+        for key, s in targets.items():  # a mask update at s must leave every layer pool an entry
+            if not 0.0 <= s < 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1), got {s}")
+            try:
+                scoring_pools(pooled, SparsityDistribution(sp.distribution, s))
+            except LayerCollapseError as e:
+                raise ConfigError(f"{key}: {e}") from e
         n_in, n_out = arch.input_dim(m), arch.output_dim(m)
         if data.kind == "synthetic-blobs" and (n_in not in (None, data.dim) or n_out != data.classes):
             raise ConfigError(

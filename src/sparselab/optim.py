@@ -14,12 +14,13 @@ The decayed gradient g + wd*w is multiplied by its keep factor before the
 momentum update, so masked-out entries receive no gradient, no decay and no
 momentum without any indexing by the mask. They stay bit-exact +0.0 only
 because they are +0.0 when each step starts: `ParamStore.set_mask` writes
-+0.0 to the weights it masks out, and `reset_momentum` zeroes the momentum
-of every entry whose mask membership changed. Freezing a tensor zeroes its
-momentum, so its weights stay untouched bit for bit. A non-finite gradient
-at a masked-out entry turns into NaN there, so the step raises
-`NonFiniteError` just as for a live entry. With momentum 0 the buffer holds
-the gradient plus +0.0, which stores a -0.0 as +0.0.
++0.0 to the weights it masks out, and the first step after a mask change
+writes +0.0 to the momentum of every masked-out entry before it updates, so
+an entry masked in again starts from +0.0 momentum too. Freezing a tensor
+zeroes its momentum, so its weights stay untouched bit for bit. A
+non-finite gradient at a masked-out entry turns into NaN there, so the step
+raises `NonFiniteError` just as for a live entry. With momentum 0 the
+buffer holds the gradient plus +0.0, which stores a -0.0 as +0.0.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class SgdState:
         self._refresh()
 
     def _refresh(self) -> None:
-        """Rebuild the update runs and the small run's keep factors from masks and flags."""
+        """Rebuild the update runs and the small run's keep factors from masks
+        and flags, and zero the momentum of frozen tensors and masked-out entries."""
         store = self._store
         if store.names() != list(self._spans) or any(
             e.weights.base is not self._w for _, e in store.items()
@@ -130,6 +132,8 @@ class SgdState:
             e, (a, b) = store[name], self._spans[name]
             if not e.trainable:
                 self._m[a:b] = 0.0
+            elif e.mask is not None:
+                self._m[a:b][e.mask.reshape(-1) == 0.0] = 0.0
             if b - a >= OWN_UPDATE_MIN:
                 if e.trainable:  # a frozen large tensor is left out
                     self._runs.append((a, b, name, None if e.mask is None else e.mask.reshape(-1)))
@@ -183,9 +187,3 @@ def sgd_step(store: ParamStore, grads: dict[str, np.ndarray], state: SgdState, s
         bad = next(n for n, (a, b) in state._spans.items() if not np.isfinite(w[a:b]).all())
         raise NonFiniteError(f"non-finite update for {bad}")
 
-
-def reset_momentum(state: SgdState, changed: dict[str, np.ndarray]) -> None:
-    """Zero momentum for entries whose mask membership just changed."""
-    for name, flags in changed.items():
-        if name in state.buffers and flags.any():
-            state.buffers[name][flags.astype(bool)] = 0.0

@@ -26,7 +26,7 @@ from .config import ExperimentConfig, format_sig9, to_tree
 from .data import Dataset, build_dataset
 from .errors import ConfigError, ScheduleError, SparselabError
 from .models import ARCHS, Model, build_model
-from .optim import LrSchedule, SgdState, reset_momentum, sgd_step
+from .optim import LrSchedule, SgdState, sgd_step
 from .rng import (
     Rng,
     STREAM_DATA,
@@ -39,6 +39,7 @@ from .sparsify import (
     AcdcSchedule,
     GmpState,
     Phase,
+    ProgressiveRamp,
     RiglState,
     SparsityDistribution,
     acdc_apply,
@@ -85,12 +86,13 @@ def write_metrics_csv(path: str, rows: list[diagnostics.MetricRow]) -> None:
 
 
 class _Driver:
-    """Per-method sparsifier hooks around the shared training loop."""
+    """Per-method sparsifier hooks around the shared training loop. A driver
+    sets masks in `model.store`; the SGD state zeroes their momentum."""
 
-    def at_epoch_start(self, epoch: int, ctx: "_RunContext") -> None:
-        pass
+    def at_epoch_start(self, epoch: int, model: Model, dense_grads) -> None:
+        """`dense_grads()` is the gradient of the epoch's first minibatch."""
 
-    def checkpoint_boundaries(self, cfg: ExperimentConfig) -> set[int] | None:
+    def checkpoint_boundaries(self) -> set[int] | None:
         """Epoch boundaries to checkpoint at, or None for the default cadence."""
         return None
 
@@ -98,14 +100,18 @@ class _Driver:
         return {}
 
 
+def _set_masks(model: Model, masks: dict[str, np.ndarray]) -> None:
+    for name, mask in masks.items():
+        model.store.set_mask(name, mask)
+
+
 class _OneshotDriver(_Driver):
     def __init__(self, dist: SparsityDistribution):
         self.dist = dist
 
-    def at_epoch_start(self, epoch: int, ctx: "_RunContext") -> None:
+    def at_epoch_start(self, epoch: int, model: Model, dense_grads) -> None:
         if epoch == 0:
-            masks = magnitude_mask(ctx.prunable_weights(), self.dist)
-            ctx.set_masks(masks)
+            _set_masks(model, magnitude_mask(model.prunable_weights(), self.dist))
 
     def state_dict(self) -> dict:
         return {"target": self.dist.target}
@@ -116,20 +122,15 @@ class _GmpDriver(_Driver):
         self.dist = dist
         self.state = state
         self.current_s = 0.0
-        self.masks: dict[str, np.ndarray] | None = None
 
-    def at_epoch_start(self, epoch: int, ctx: "_RunContext") -> None:
+    def at_epoch_start(self, epoch: int, model: Model, dense_grads) -> None:
         s_t = gmp_sparsity_at(self.state, epoch)
         if s_t <= self.current_s:
             return
-        weights = ctx.prunable_weights()
+        weights, masks = model.prunable_weights(), model.store.masks()
         target = self.dist.with_target(s_t)
-        if self.masks is None:
-            new = magnitude_mask(weights, target)
-        else:
-            new = shrink_mask(weights, self.masks, target)
-        ctx.set_masks(new)
-        self.masks = new
+        _set_masks(model, shrink_mask(weights, masks, target) if masks
+                   else magnitude_mask(weights, target))
         self.current_s = s_t
 
     def state_dict(self) -> dict:
@@ -145,36 +146,29 @@ class _RiglDriver(_Driver):
     def __init__(self, dist: SparsityDistribution, state: RiglState):
         self.dist = dist
         self.state = state
-        self.masks: dict[str, np.ndarray] | None = None
 
-    def at_epoch_start(self, epoch: int, ctx: "_RunContext") -> None:
+    def at_epoch_start(self, epoch: int, model: Model, dense_grads) -> None:
         st = self.state
         if epoch == 0:
-            self.masks = magnitude_mask(ctx.prunable_weights(), self.dist)
-            ctx.set_masks(self.masks)
+            masks = magnitude_mask(model.prunable_weights(), self.dist)
+            _set_masks(model, masks)
             st.layer_sparsity.update(
-                {n: 1.0 - float(np.count_nonzero(m)) / m.size for n, m in self.masks.items()}
+                {n: 1.0 - float(np.count_nonzero(m)) / m.size for n, m in masks.items()}
             )
             return
         if epoch > st.t_end or epoch % st.delta_t != 0:
             return
-        grads = ctx.dense_grad_batch()
-        new_masks = dict(self.masks)
-        changed: dict[str, np.ndarray] = {}
-        for name, w in ctx.prunable_weights().items():
-            if name in self.dist.keep_dense:
-                continue
-            mask = self.masks[name]
+        grads = dense_grads()
+        for name, mask in model.store.masks().items():
             active = int(np.count_nonzero(mask))
-            if active == 0 or active == mask.size:
+            if active == 0 or active == mask.size:  # a keep-dense layer's mask is all ones
                 continue
             s_l = st.layer_sparsity[name]
             # rigl_fraction is per-layer connections (numel); rigl_step takes a
             # fraction of the active count, so rescale: k = fraction * numel.
             fraction = rigl_fraction(epoch, st.alpha, st.t_end, s_l) * mask.size / active
-            new_masks[name], changed[name] = rigl_step(w, grads[name], mask, min(1.0, fraction))
-        ctx.set_masks(new_masks, changed)
-        self.masks = new_masks
+            weights = model.store[name].weights
+            model.store.set_mask(name, rigl_step(weights, grads[name], mask, min(1.0, fraction)))
 
     def state_dict(self) -> dict:
         return {
@@ -192,40 +186,37 @@ class _AcdcDriver(_Driver):
         self.phases = acdc_phases(schedule)
         self.current: Phase | None = None
 
-    def at_epoch_start(self, epoch: int, ctx: "_RunContext") -> None:
+    def at_epoch_start(self, epoch: int, model: Model, dense_grads) -> None:
         for phase in self.phases:
             if phase.start == epoch:
-                self._enter(phase, ctx)
+                self._enter(phase, model)
                 return
 
-    def _enter(self, phase: Phase, ctx: "_RunContext") -> None:
+    def _enter(self, phase: Phase, model: Model) -> None:
         self.current = phase
         target = self.schedule.target
         if phase.kind == COMPRESSED and self.schedule.ramp is not None:
             target = progressive_target(phase.start, self.schedule.ramp, self.schedule.target)
         masks = acdc_apply(
             phase.kind,
-            ctx.prunable_weights(),
+            model.prunable_weights(),
             self.dist.with_target(target),
             self.schedule.decompression_sparsity,
         )
-        if masks is None:
-            ctx.clear_masks()
-        else:
-            ctx.set_masks(masks)
+        for name in model.prunable_names():
+            model.store.set_mask(name, None if masks is None else masks[name])
 
-    def checkpoint_boundaries(self, cfg: ExperimentConfig) -> set[int]:
+    def checkpoint_boundaries(self) -> set[int]:
         """End of every compressed phase, so saved masks are at full sparsity."""
         return {p.end for p in self.phases if p.kind == COMPRESSED}
 
     def state_dict(self) -> dict:
-        out = {
+        return {
             "phase_kind": self.current.kind if self.current else None,
             "phase_start": self.current.start if self.current else None,
             "target": self.schedule.target,
             "decompression_sparsity": self.schedule.decompression_sparsity,
         }
-        return out
 
 
 # -- the loop -----------------------------------------------------------------
@@ -236,51 +227,6 @@ class RunResult:
     out_dir: str
     metrics: list[diagnostics.MetricRow]
     checkpoint_paths: list[str]
-    model: Model
-
-
-class _RunContext:
-    """What drivers may touch: prunable weights, masks, momentum hygiene,
-    and a one-shot dense gradient for RigL updates."""
-
-    def __init__(self, model: Model, sgd: SgdState, cfg: ExperimentConfig, data: Dataset):
-        self.model = model
-        self.sgd = sgd
-        self.cfg = cfg
-        self.data = data
-        self._grad_idx: np.ndarray | None = None
-
-    def prunable_weights(self) -> dict[str, np.ndarray]:
-        return self.model.prunable_weights()
-
-    def _changed_from(self, new_masks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        changed = {}
-        for name, mask in new_masks.items():
-            old = self.model.store[name].mask
-            old_sup = np.ones_like(mask, dtype=bool) if old is None else old != 0.0
-            changed[name] = old_sup != (mask != 0.0)
-        return changed
-
-    def set_masks(
-        self, masks: dict[str, np.ndarray], changed: dict[str, np.ndarray] | None = None
-    ) -> None:
-        if changed is None:
-            changed = self._changed_from(masks)
-        for name, mask in masks.items():
-            self.model.store.set_mask(name, mask)
-        reset_momentum(self.sgd, changed)
-
-    def clear_masks(self) -> None:
-        for name in self.model.prunable_names():
-            self.model.store.set_mask(name, None)
-
-    def stage_grad_batch(self, idx: np.ndarray) -> None:
-        self._grad_idx = idx
-
-    def dense_grad_batch(self) -> dict[str, np.ndarray]:
-        x, y = self.data.x_train[self._grad_idx], self.data.y_train[self._grad_idx]
-        _, grads = self.model.loss_and_grad(x, y, eps=self.cfg.label_smoothing)
-        return grads
 
 
 def _build_driver(cfg: ExperimentConfig) -> _Driver:
@@ -309,11 +255,6 @@ def _build_driver(cfg: ExperimentConfig) -> _Driver:
         return _RiglDriver(dist, RiglState(alpha=r["alpha"], t_end=r["t_end"], delta_t=r["delta_t"]))
     if cfg.method == "acdc":
         a = cfg.effective_acdc()
-        ramp = None
-        if "ramp" in a:
-            from .sparsify import ProgressiveRamp
-
-            ramp = ProgressiveRamp(**a["ramp"])
         schedule = AcdcSchedule(
             total_epochs=cfg.effective_total,
             target=cfg.sparsity.target,
@@ -322,7 +263,7 @@ def _build_driver(cfg: ExperimentConfig) -> _Driver:
             last_decompression=a["last_decompression"],
             last_compression=a["last_compression"],
             decompression_sparsity=a["decompression_sparsity"],
-            ramp=ramp,
+            ramp=ProgressiveRamp(**a["ramp"]) if "ramp" in a else None,
         )
         return _AcdcDriver(dist, schedule)
     raise ConfigError(f"unknown method {cfg.method!r}")
@@ -419,13 +360,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
     sgd = SgdState(
         model.store, schedule, momentum=cfg.optimizer.momentum, weight_decay=cfg.optimizer.weight_decay
     )
-    ctx = _RunContext(model, sgd, cfg, data)
 
     def before_epoch(epoch: int, order: np.ndarray) -> None:
-        ctx.stage_grad_batch(order[: cfg.batch_size])
-        driver.at_epoch_start(epoch, ctx)
+        def dense_grads() -> dict[str, np.ndarray]:
+            idx = order[: cfg.batch_size]
+            return model.loss_and_grad(data.x_train[idx], data.y_train[idx],
+                                       eps=cfg.label_smoothing)[1]
 
-    boundaries = driver.checkpoint_boundaries(cfg)
+        driver.at_epoch_start(epoch, model, dense_grads)
+
+    boundaries = driver.checkpoint_boundaries()
     if boundaries is None:
         boundaries = {b for b in range(cfg.checkpoint_every, total_epochs + 1, cfg.checkpoint_every)}
     boundaries.add(total_epochs)
@@ -468,7 +412,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
         raise type(e)(f"epoch {len(rows)}, phase {phase}: {e}") from e
 
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
-    return RunResult(out_dir=out_dir, metrics=rows, checkpoint_paths=ckpt_paths, model=model)
+    return RunResult(out_dir=out_dir, metrics=rows, checkpoint_paths=ckpt_paths)
 
 
 # -- sweep --------------------------------------------------------------------

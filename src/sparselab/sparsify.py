@@ -107,23 +107,25 @@ def erk_densities(layer_shapes: dict[str, tuple], s_global: float) -> dict[str, 
     return densities
 
 
-def _pools(
-    weights: dict[str, np.ndarray], dist: SparsityDistribution
+def scoring_pools(
+    shapes: dict[str, tuple[int, ...]], dist: SparsityDistribution
 ) -> list[tuple[list[str], int]]:
-    """Scoring pools as (layer names, kept count): one pool per layer, or one
-    global pool (counted in groups of 4 for block4-global)."""
+    """Scoring pools of the layers of these shapes as (layer names, kept
+    count): one pool per layer, or one global pool (counted in groups of 4
+    for block4-global). A per-layer pool that would keep nothing is a
+    LayerCollapseError."""
     s = dist.target
+    sizes = {n: math.prod(shape) for n, shape in shapes.items()}
     if dist.kind == GLOBAL:
-        total = sum(w.size for w in weights.values())
-        return [(list(weights), _floor_count((1.0 - s) * total))]
+        return [(list(shapes), _floor_count((1.0 - s) * sum(sizes.values())))]
     if dist.kind == BLOCK4_GLOBAL:
-        total_groups = sum((w.size + BLOCK - 1) // BLOCK for w in weights.values())
-        return [(list(weights), _floor_count((1.0 - s) * total_groups))]
+        total_groups = sum((size + BLOCK - 1) // BLOCK for size in sizes.values())
+        return [(list(shapes), _floor_count((1.0 - s) * total_groups))]
     if dist.kind == UNIFORM:
-        counts = {n: _floor_count((1.0 - s) * w.size) for n, w in weights.items()}
+        counts = {n: _floor_count((1.0 - s) * size) for n, size in sizes.items()}
     elif dist.kind == ERK:
-        dens = erk_densities({n: w.shape for n, w in weights.items()}, s)
-        counts = {n: _floor_count(dens[n] * w.size) for n, w in weights.items()}
+        dens = erk_densities(shapes, s)
+        counts = {n: _floor_count(dens[n] * size) for n, size in sizes.items()}
     else:
         raise ScheduleError(f"unknown sparsity distribution {dist.kind!r}")
     for n, kept in counts.items():
@@ -145,7 +147,7 @@ def _select(
     pooled = {n: w for n, w in weights.items() if n not in dist.keep_dense}
     if not pooled:
         return {}
-    pools = _pools(pooled, dist)
+    pools = scoring_pools({n: w.shape for n, w in pooled.items()}, dist)
     scores = {n: np.abs(w.reshape(-1).astype(np.float64)) for n, w in pooled.items()}
     active = {
         n: np.ones(w.size, dtype=bool) if masks is None else masks[n].reshape(-1) != 0.0
@@ -242,10 +244,9 @@ def rigl_step(
     grads: np.ndarray,
     mask: np.ndarray,
     fraction: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the k lowest-|w| active entries, grow the k highest-|grad| inactive
-    ones; k = round(fraction * active count). Returns (new mask, changed flags).
-    """
+) -> np.ndarray:
+    """The new f32 0/1 mask: drop the k lowest-|w| active entries, grow the k
+    highest-|grad| inactive ones; k = round(fraction * active count)."""
     if not 0.0 <= fraction <= 1.0:
         raise ScheduleError(f"update fraction {fraction} outside [0, 1]")
     flat_w = np.abs(weights.reshape(-1).astype(np.float64))
@@ -258,8 +259,7 @@ def rigl_step(
         log.warning("rigl_step: k=%d capped at inactive count %d", k, n_inactive)
         k = n_inactive
     new = (active & ~_keep_top(-flat_w, active, k)) | _keep_top(flat_g, ~active, k)
-    changed = new != active
-    return new.reshape(mask.shape).astype(np.float32), changed.reshape(mask.shape)
+    return new.reshape(mask.shape).astype(np.float32)
 
 
 # -- AC/DC -------------------------------------------------------------------

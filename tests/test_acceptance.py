@@ -166,7 +166,7 @@ def test_criterion_3_mask_invariants():
         mask = (rng.uniforms(n) < 0.5).astype(np.float32)
         w[mask == 0] = 0.0
         before = int(mask.sum())
-        new, changed = rigl_step(w, g, mask, rng.uniform())
+        new = rigl_step(w, g, mask, rng.uniform())
         assert int(new.sum()) == before
         dropped = (mask != 0) & (new == 0)
         grown = (mask == 0) & (new != 0)

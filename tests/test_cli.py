@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import write_idx_pair
 from sparselab.cli import main
@@ -308,6 +314,15 @@ BAD_CONFIGS = {
                                                 "max_len": 4},
                                       "dataset": {"kind": "synthetic-sequences", "vocab": 4,
                                                   "seq_len": 8}}, 2),
+    # the uniform budget keeps floor(0.01 * 80) = 0 of fc2.weight
+    "uniform-budget-zeroes-a-layer": ({"method": "oneshot", "sparsity.distribution": "uniform",
+                                       "sparsity.target": 0.99, "model.layer_dims": [64, 8, 10]}, 2),
+    "acdc-ramp-start-sparsity-one": ({"acdc.ramp_start": 1, "acdc.ramp_end": 5,
+                                      "acdc.ramp_start_sparsity": 1.0}, 2),
+    "acdc-ramp-budget-zeroes-a-layer": ({"sparsity.distribution": "uniform", "sparsity.target": 0.5,
+                                         "acdc.ramp_start": 1, "acdc.ramp_end": 5,
+                                         "acdc.ramp_start_sparsity": 0.99,
+                                         "model.layer_dims": [64, 8, 10]}, 2),
     "missing-idx-file": ({"model.layer_dims": [784, 32, 10], "dataset": {
         "kind": "idx-images", "images_path": "missing-images.idx",
         "labels_path": "missing-labels.idx"}}, 1),
@@ -338,4 +353,50 @@ def test_bad_config_one_error_line(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if code == 2:
+        assert not os.path.exists(out)
+
+
+IDX_HEADERS = {"images.idx": (0x803, 12, 4, 4), "labels.idx": (0x801, 12)}  # big-endian u32 words
+
+
+@st.composite
+def _idx_damage(draw):
+    """(file, kind, at, value): cut a file of the pair below its full length
+    to `at` bytes, or set its header word `at` to another value."""
+    name = draw(st.sampled_from(list(IDX_HEADERS)))
+    words = IDX_HEADERS[name]
+    if draw(st.booleans()):
+        return name, "truncate", draw(st.integers(0, 4 * len(words) - 1) | st.integers(0, 999)), None
+    at = draw(st.integers(0, len(words) - 1))
+    value = draw((st.integers(0, 64) | st.integers(0, 2**32 - 1)).filter(lambda v: v != words[at]))
+    return name, "word", at, value
+
+
+@given(damage=_idx_damage())
+@settings(max_examples=200, deadline=None)
+def test_damaged_idx_header_one_error_line(damage):
+    """`train` on an IDX pair with a truncated file or one changed header word
+    (magic, count, rows or cols) ends in one `error:` line and exit 1 or 2
+    before the output directory is made, never in a traceback or a run."""
+    name, kind, at, value = damage
+    with tempfile.TemporaryDirectory() as d:
+        pixels = np.arange(12 * 16).reshape(12, 4, 4) % 256
+        images, labels = write_idx_pair(pathlib.Path(d), pixels, [i % 4 for i in range(12)])
+        path = os.path.join(d, name)
+        raw = open(path, "rb").read()
+        if kind == "truncate":
+            raw = raw[: min(at, len(raw) - 1)]
+        else:
+            raw = raw[: 4 * at] + struct.pack(">I", value) + raw[4 * at + 4 :]
+        with open(path, "wb") as f:
+            f.write(raw)
+        tree = {"method": "dense", "total_epochs": 1, "model": {"arch": "mlp", "layer_dims": [16, 8, 4]},
+                "dataset": {"kind": "idx-images", "images_path": images, "labels_path": labels}}
+        out = os.path.join(d, "run")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", write_cfg(pathlib.Path(d), "cfg.json", tree),
+                         "--out", out])
+        assert code in (1, 2), (damage, err.getvalue())
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
         assert not os.path.exists(out)

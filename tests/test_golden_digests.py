@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import golden_digests
+import sparselab
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,9 @@ def test_outputs_match_golden_digests(golden, tmp_path):
 
 
 def test_single_blas_thread_matches_golden_digests(golden):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(sparselab.__file__))  # the package this test imports
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, golden_digests.__file__, "--print", "acdc", "cnn"],
         env=env, capture_output=True, text=True, timeout=300, check=True,

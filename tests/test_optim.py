@@ -11,7 +11,7 @@ from sparselab.config import ExperimentConfig
 from sparselab.data import DatasetSpec, build_dataset
 from sparselab.errors import NonFiniteError, ScheduleError, ShapeError
 from sparselab.models import ParamStore, build_model, reinit_head
-from sparselab.optim import LrSchedule, SgdState, lr_at, reset_momentum, sgd_step
+from sparselab.optim import LrSchedule, SgdState, lr_at, sgd_step
 from sparselab.rng import STREAM_DATA, Rng
 from sparselab.sparsify import SparsityDistribution, magnitude_mask
 from sparselab.transfer import TransferHyper, layer_groups, trainable_set, transfer_run
@@ -104,24 +104,18 @@ def test_frozen_entries_untouched():
     assert np.array_equal(before, store["w"].weights)
 
 
-def test_reset_momentum_single_entry():
+def test_masking_out_zeroes_negative_momentum():
+    """An entry with negative momentum that gets masked out holds +0.0
+    momentum and +0.0 weight after the next step; the others keep theirs."""
     store = make_store([1.0, 2.0, 3.0])
     state = SgdState(store, LrSchedule(kind="constant", peak=0.1, total_steps=100), momentum=0.9)
-    sgd_step(store, {"w": np.ones(3, dtype=np.float32)}, state, 0)
-    assert np.all(state.buffers["w"] != 0.0)
-    reset_momentum(state, {"w": np.array([False, True, False])})
-    assert state.buffers["w"][1] == 0.0
-    assert state.buffers["w"][0] != 0.0
-
-
-def test_reset_momentum_empty_and_full():
-    store = make_store([1.0, 2.0])
-    state = SgdState(store, LrSchedule(kind="constant", peak=0.1, total_steps=100), momentum=0.9)
-    sgd_step(store, {"w": np.ones(2, dtype=np.float32)}, state, 0)
-    reset_momentum(state, {})
-    assert np.all(state.buffers["w"] != 0.0)
-    reset_momentum(state, {"w": np.ones(2, dtype=bool)})
-    assert np.all(state.buffers["w"] == 0.0)
+    sgd_step(store, {"w": np.float32([1.0, -1.0, 1.0])}, state, 0)
+    assert state.buffers["w"][1] < 0.0
+    store.set_mask("w", np.float32([1, 0, 1]))
+    sgd_step(store, {"w": np.float32([1.0, -1.0, 1.0])}, state, 1)
+    assert state.buffers["w"][1:2].tobytes() == np.float32([0.0]).tobytes()
+    assert store["w"].weights[1:2].tobytes() == np.float32([0.0]).tobytes()
+    assert state.buffers["w"][0] == state.buffers["w"][2] == np.float32(0.9) + np.float32(1.0)
 
 
 def test_cosine_schedule_endpoints():
@@ -131,6 +125,14 @@ def test_cosine_schedule_endpoints():
 
 
 # -- the masked-step contract -------------------------------------------------
+
+
+def reset_momentum(state, changed):
+    """The runner's rule before the SGD state zeroed masked-out momentum itself:
+    zero the momentum of the entries whose mask membership just changed."""
+    for name, flags in changed.items():
+        if name in state.buffers and flags.any():
+            state.buffers[name][flags.astype(bool)] = 0.0
 
 
 def indexing_sgd_step(store, grads, state, step):
@@ -165,9 +167,9 @@ def indexing_sgd_step(store, grads, state, step):
 )
 @settings(max_examples=60, deadline=None)
 def test_masked_step_bytes_equal_indexing_step(seed, momentum, weight_decay, steps):
-    """Negative gradients at dead entries, mask changes between steps with
-    momentum reset as the runner does: weights and momentum keep the bytes
-    of the indexing step, +0.0 included."""
+    """Negative gradients at dead entries and mask changes between steps, the
+    reference resetting the momentum of changed entries: weights and momentum
+    keep the bytes of the indexing step, +0.0 included."""
     rng = np.random.default_rng(seed)
     shapes = {"w": (6, 5), "b": (5,)}
     store = ParamStore()
@@ -181,10 +183,9 @@ def test_masked_step_bytes_equal_indexing_step(seed, momentum, weight_decay, ste
     for step in range(steps):
         if step > 0 and rng.random() < 0.5:
             mask = (rng.random(shapes["w"]) < 0.5).astype(np.float32)
-            changed = {"w": (store["w"].mask != 0.0) != (mask != 0.0)}
-            for s, st_ in ((store, state), (ref, ref_state)):
+            reset_momentum(ref_state, {"w": (store["w"].mask != 0.0) != (mask != 0.0)})
+            for s in (store, ref):
                 s.set_mask("w", mask)
-                reset_momentum(st_, changed)
         grads = {n: rng.normal(size=shape).astype(np.float32) for n, shape in shapes.items()}
         dead = store["w"].mask == 0.0
         grads["w"][dead] = -np.abs(grads["w"][dead])
@@ -282,11 +283,11 @@ def test_flat_step_bytes_equal_per_tensor_step(monkeypatch, own_update_min, mome
         for step in range(4):
             if stage == 1 and step == 2:
                 masks = random_masks()
-                changed = {n: (model.store[n].mask != 0.0) != (m != 0.0) for n, m in masks.items()}
-                for s, st_ in ((model.store, state), (ref, ref_state)):
+                reset_momentum(ref_state, {n: (model.store[n].mask != 0.0) != (m != 0.0)
+                                           for n, m in masks.items()})
+                for s in (model.store, ref):
                     for name, mask in masks.items():
                         s.set_mask(name, mask)
-                    reset_momentum(st_, changed)
             grads = {n: rng.normal(size=e.weights.shape).astype(np.float32)
                      for n, e in model.store.items()}
             for name, entry in model.store.items():
@@ -360,30 +361,34 @@ def test_non_finite_update_names_its_tensor():
         sgd_step(store, grads, state, 0)
 
 
-def assert_dead_entries_positive_zero(store, state):
+def assert_dead_entries_positive_zero(store, state=None):
+    """Masked-out weights, and their momentum when `state` is given, are +0.0."""
     for name, entry in store.items():
         if entry.mask is None:
             continue
         dead = entry.mask == 0.0
-        for arr in (entry.weights, state.buffers[name]):
+        for arr in (entry.weights,) if state is None else (entry.weights, state.buffers[name]):
             assert np.all(arr[dead] == 0.0), name
             assert not np.signbit(arr[dead]).any(), name
 
 
 @pytest.fixture
 def checked_steps(monkeypatch):
-    """Check the dead entries before each step the training loop takes, and
-    count the steps at which some mask differs from the previous step's."""
+    """Check the dead weights before each step the training loop takes and
+    the dead weights and momentum after it (a step zeroes the momentum a new
+    mask leaves dead), and count the steps at which some mask differs from
+    the previous step's."""
     seen = {"steps": 0, "mask_changes": 0, "last": None}
 
     def checked(store, grads, state, step):
-        assert_dead_entries_positive_zero(store, state)
+        assert_dead_entries_positive_zero(store)
         masks = {n: m.tobytes() for n, m in store.masks().items()}
         if seen["last"] is not None and masks != seen["last"]:
             seen["mask_changes"] += 1
         seen["last"] = masks
         seen["steps"] += 1
         sgd_step(store, grads, state, step)
+        assert_dead_entries_positive_zero(store, state)
 
     monkeypatch.setattr(runner, "sgd_step", checked)
     return seen

@@ -273,6 +273,23 @@ def test_sweep_summary(tmp_path):
     assert os.path.exists(os.path.join(tmp_path, "sweep", "run_005", "metrics.csv"))
 
 
+def test_parallel_sweep_writes_the_serial_bytes(tmp_path, monkeypatch):
+    """SPARSELAB_THREADS=2 runs the grid in two worker processes and writes
+    the bytes of a serial sweep: per run its config, metrics and checkpoint,
+    then the summary CSV and JSON."""
+    with open(os.path.join(FIXTURES, "sweep_grid.json")) as f:
+        tree = json.load(f)
+    files = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SPARSELAB_THREADS", threads)
+        out = tmp_path / f"threads_{threads}"
+        run_sweep(tree["base"], tree["grid"], str(out))
+        files[threads] = {str(p.relative_to(out)): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(files["1"]) == 6 * 3 + 2
+    assert files["2"] == files["1"]
+
+
 def test_acdc_progressive_ramp_targets(tmp_path):
     cfg = fixture_cfg(
         "acdc_blobs.json", total_epochs=20,

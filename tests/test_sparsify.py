@@ -252,25 +252,24 @@ def test_rigl_fraction_range_error():
 
 def test_rigl_step_zero_fraction_unchanged():
     mask = np.float32([1, 1, 0, 0])
-    new, changed = rigl_step(np.float32([5, 0.1, 0, 0]), np.float32([1, 1, 9, 1]), mask, 0.0)
-    assert np.array_equal(new, mask)
-    assert not changed.any()
+    new = rigl_step(np.float32([5, 0.1, 0, 0]), np.float32([1, 1, 9, 1]), mask, 0.0)
+    assert new.tobytes() == mask.tobytes()
 
 
 def test_rigl_step_four_entry_example():
     w = np.float32([5, 0.1, 0, 0])
     g = np.float32([1, 1, 9, 1])
     mask = np.float32([1, 1, 0, 0])
-    new, changed = rigl_step(w, g, mask, 0.5)
+    new = rigl_step(w, g, mask, 0.5)
     assert np.array_equal(new, np.float32([1, 0, 1, 0]))
-    assert np.array_equal(changed, [False, True, True, False])
+    assert np.array_equal((new != 0) != (mask != 0), [False, True, True, False])
 
 
 def test_rigl_step_tie_break_drops_lowest_index():
     w = np.float32([2, 2, 2, 2, 0, 0])
     g = np.float32([0, 0, 0, 0, 3, 3])
     mask = np.float32([1, 1, 1, 1, 0, 0])
-    new, _ = rigl_step(w, g, mask, 0.5)
+    new = rigl_step(w, g, mask, 0.5)
     # two lowest-index active entries dropped, two lowest-index inactive grown
     assert np.array_equal(new, np.float32([0, 0, 1, 1, 1, 1]))
 
@@ -279,9 +278,9 @@ def test_rigl_step_caps_at_inactive_count(caplog):
     w = np.float32([1, 2, 3, 0])
     g = np.float32([0, 0, 0, 5])
     mask = np.float32([1, 1, 1, 0])
-    new, changed = rigl_step(w, g, mask, 1.0)  # k=3 > 1 inactive
+    new = rigl_step(w, g, mask, 1.0)  # k=3 > 1 inactive
     assert int(new.sum()) == 3
-    assert changed.sum() == 2
+    assert ((new != 0) != (mask != 0)).sum() == 2
 
 
 @given(
@@ -297,12 +296,12 @@ def test_rigl_conservation_property(seed, n, frac):
     mask = (rng.uniforms(n) < 0.5).astype(np.float32)
     w[mask == 0] = 0.0
     before = int(mask.sum())
-    new, changed = rigl_step(w, g, mask, frac)
+    new = rigl_step(w, g, mask, frac)
     assert int(new.sum()) == before
     dropped = (mask != 0) & (new == 0)
     grown = (mask == 0) & (new != 0)
     assert dropped.sum() == grown.sum()
-    assert np.array_equal(changed, dropped | grown)
+    assert np.array_equal((new != 0) != (mask != 0), dropped | grown)
 
 
 # -- AC/DC ------------------------------------------------------------------------
@@ -466,8 +465,7 @@ def lexsort_rigl_step(weights, grads, mask, fraction):
         act_idx, inact_idx = idx[active], idx[~active]
         new[act_idx[np.lexsort((act_idx, flat_w[active]))[:k]]] = False
         new[inact_idx[np.lexsort((inact_idx, -flat_g[~active]))[:k]]] = True
-    changed = new != active
-    return new.reshape(mask.shape).astype(np.float32), changed.reshape(mask.shape)
+    return new.reshape(mask.shape).astype(np.float32)
 
 
 def quantised(rng, shape, levels):
@@ -546,7 +544,5 @@ def test_rigl_step_equals_sorting_oracle(seed, n, levels, p_active, fraction):
     mask = (rng.random(n) < p_active).astype(np.float32)
     w = quantised(rng, n, levels) * mask
     g = quantised(rng, n, levels)
-    new, changed = rigl_step(w, g, mask, fraction)
-    want_new, want_changed = lexsort_rigl_step(w, g, mask, fraction)
-    assert new.tobytes() == want_new.tobytes()
-    assert np.array_equal(changed, want_changed)
+    new = rigl_step(w, g, mask, fraction)
+    assert new.tobytes() == lexsort_rigl_step(w, g, mask, fraction).tobytes()

@@ -104,6 +104,32 @@ def test_frozen_entries_untouched():
     assert np.array_equal(before, store["w"].weights)
 
 
+def test_reset_momentum_single_entry():
+    """Masking out one entry resets its momentum at the next step and only its."""
+    store = make_store([1.0, 2.0, 3.0])
+    state = SgdState(store, LrSchedule(kind="constant", peak=0.1, total_steps=100), momentum=0.9)
+    sgd_step(store, {"w": np.ones(3, dtype=np.float32)}, state, 0)
+    assert np.all(state.buffers["w"] != 0.0)
+    store.set_mask("w", np.float32([1, 0, 1]))
+    sgd_step(store, {"w": np.ones(3, dtype=np.float32)}, state, 1)
+    assert state.buffers["w"][1:2].tobytes() == np.float32([0.0]).tobytes()
+    assert state.buffers["w"][0] != 0.0 and state.buffers["w"][2] != 0.0
+
+
+def test_reset_momentum_empty_and_full():
+    """A mask that changes no membership keeps every momentum; one that masks
+    out every entry resets them all to +0.0."""
+    store = make_store([1.0, 2.0])
+    state = SgdState(store, LrSchedule(kind="constant", peak=0.1, total_steps=100), momentum=0.9)
+    sgd_step(store, {"w": np.ones(2, dtype=np.float32)}, state, 0)
+    store.set_mask("w", np.ones(2, dtype=np.float32))
+    sgd_step(store, {"w": np.ones(2, dtype=np.float32)}, state, 1)
+    assert np.all(state.buffers["w"] == np.float32(0.9) + np.float32(1.0))
+    store.set_mask("w", np.zeros(2, dtype=np.float32))
+    sgd_step(store, {"w": np.ones(2, dtype=np.float32)}, state, 2)
+    assert state.buffers["w"].tobytes() == np.zeros(2, dtype=np.float32).tobytes()
+
+
 def test_masking_out_zeroes_negative_momentum():
     """An entry with negative momentum that gets masked out holds +0.0
     momentum and +0.0 weight after the next step; the others keep theirs."""

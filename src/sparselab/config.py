@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .data import DatasetSpec
-from .errors import ConfigError, LayerCollapseError
+from .errors import ConfigError, LayerCollapseError, ScheduleError
 from .models import ARCHS, ModelSpec
 from .optim import SCHEDULES
-from .sparsify import DISTRIBUTIONS, SparsityDistribution, scoring_pools
+from .sparsify import DISTRIBUTIONS, SparsityDistribution, acdc_phases, scoring_pools
 
 METHODS = ("dense", "gmp", "rigl", "acdc", "oneshot")
 
@@ -193,6 +193,20 @@ class ExperimentConfig:
                 scoring_pools(pooled, SparsityDistribution(sp.distribution, s))
             except LayerCollapseError as e:
                 raise ConfigError(f"{key}: {e}") from e
+        # only the configured method's schedule: the default AC/DC block cannot fit 10 epochs
+        if self.method == "gmp":
+            g = self.effective_gmp()
+            if g["ramp_end"] <= g["ramp_start"]:
+                raise ConfigError("GMP ramp must end after it starts")
+        if self.method == "acdc":
+            a = self.effective_acdc()
+            if not 0.0 <= a["decompression_sparsity"] <= sp.target:
+                raise ConfigError("decompression sparsity must lie in [0, target]")
+            try:
+                acdc_phases(self.effective_total, a["warmup"], a["phase_len"],
+                            a["last_decompression"], a["last_compression"])
+            except ScheduleError as e:
+                raise ConfigError(str(e)) from e
         n_in, n_out = arch.input_dim(m), arch.output_dim(m)
         if data.kind == "synthetic-blobs" and (n_in not in (None, data.dim) or n_out != data.classes):
             raise ConfigError(

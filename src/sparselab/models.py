@@ -93,9 +93,6 @@ class ParamStore:
         self._entries[name] = ParamEntry(np.ascontiguousarray(weights, dtype=np.float32), None, trainable)
         self.version += 1
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def __getitem__(self, name: str) -> ParamEntry:
         return self._entries[name]
 

@@ -24,7 +24,7 @@ from . import diagnostics
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, format_sig9, to_tree
 from .data import Dataset, build_dataset
-from .errors import ConfigError, ScheduleError, SparselabError
+from .errors import ConfigError, SparselabError
 from .models import ARCHS, Model, build_model
 from .optim import LrSchedule, SgdState, sgd_step
 from .rng import (
@@ -36,11 +36,7 @@ from .rng import (
 )
 from .sparsify import (
     COMPRESSED,
-    AcdcSchedule,
-    GmpState,
     Phase,
-    ProgressiveRamp,
-    RiglState,
     SparsityDistribution,
     acdc_apply,
     acdc_phases,
@@ -118,13 +114,13 @@ class _OneshotDriver(_Driver):
 
 
 class _GmpDriver(_Driver):
-    def __init__(self, dist: SparsityDistribution, state: GmpState):
+    def __init__(self, dist: SparsityDistribution, gmp: dict):
         self.dist = dist
-        self.state = state
+        self.gmp = gmp
         self.current_s = 0.0
 
     def at_epoch_start(self, epoch: int, model: Model, dense_grads) -> None:
-        s_t = gmp_sparsity_at(self.state, epoch)
+        s_t = gmp_sparsity_at(epoch, self.dist.target, **self.gmp)
         if s_t <= self.current_s:
             return
         weights, masks = model.prunable_weights(), model.store.masks()
@@ -134,56 +130,48 @@ class _GmpDriver(_Driver):
         self.current_s = s_t
 
     def state_dict(self) -> dict:
-        return {
-            "sparsity": self.current_s,
-            "ramp_start": self.state.ramp_start,
-            "ramp_end": self.state.ramp_end,
-            "update_every": self.state.update_every,
-        }
+        return {"sparsity": self.current_s, **self.gmp}
 
 
 class _RiglDriver(_Driver):
-    def __init__(self, dist: SparsityDistribution, state: RiglState):
+    def __init__(self, dist: SparsityDistribution, rigl: dict):
         self.dist = dist
-        self.state = state
+        self.rigl = rigl
+        self.layer_sparsity: dict[str, float] = {}
 
     def at_epoch_start(self, epoch: int, model: Model, dense_grads) -> None:
-        st = self.state
+        alpha, t_end, delta_t = self.rigl["alpha"], self.rigl["t_end"], self.rigl["delta_t"]
         if epoch == 0:
             masks = magnitude_mask(model.prunable_weights(), self.dist)
             _set_masks(model, masks)
-            st.layer_sparsity.update(
-                {n: 1.0 - float(np.count_nonzero(m)) / m.size for n, m in masks.items()}
-            )
+            self.layer_sparsity = {
+                n: 1.0 - float(np.count_nonzero(m)) / m.size for n, m in masks.items()
+            }
             return
-        if epoch > st.t_end or epoch % st.delta_t != 0:
+        if epoch > t_end or epoch % delta_t != 0:
             return
         grads = dense_grads()
         for name, mask in model.store.masks().items():
             active = int(np.count_nonzero(mask))
             if active == 0 or active == mask.size:  # a keep-dense layer's mask is all ones
                 continue
-            s_l = st.layer_sparsity[name]
+            s_l = self.layer_sparsity[name]
             # rigl_fraction is per-layer connections (numel); rigl_step takes a
             # fraction of the active count, so rescale: k = fraction * numel.
-            fraction = rigl_fraction(epoch, st.alpha, st.t_end, s_l) * mask.size / active
+            fraction = rigl_fraction(epoch, alpha, t_end, s_l) * mask.size / active
             weights = model.store[name].weights
             model.store.set_mask(name, rigl_step(weights, grads[name], mask, min(1.0, fraction)))
 
     def state_dict(self) -> dict:
-        return {
-            "alpha": self.state.alpha,
-            "t_end": self.state.t_end,
-            "delta_t": self.state.delta_t,
-            "layer_sparsity": dict(self.state.layer_sparsity),
-        }
+        return {**self.rigl, "layer_sparsity": dict(self.layer_sparsity)}
 
 
 class _AcdcDriver(_Driver):
-    def __init__(self, dist: SparsityDistribution, schedule: AcdcSchedule):
+    def __init__(self, dist: SparsityDistribution, total_epochs: int, acdc: dict):
         self.dist = dist
-        self.schedule = schedule
-        self.phases = acdc_phases(schedule)
+        self.acdc = acdc
+        self.phases = acdc_phases(total_epochs, acdc["warmup"], acdc["phase_len"],
+                                  acdc["last_decompression"], acdc["last_compression"])
         self.current: Phase | None = None
 
     def at_epoch_start(self, epoch: int, model: Model, dense_grads) -> None:
@@ -194,14 +182,14 @@ class _AcdcDriver(_Driver):
 
     def _enter(self, phase: Phase, model: Model) -> None:
         self.current = phase
-        target = self.schedule.target
-        if phase.kind == COMPRESSED and self.schedule.ramp is not None:
-            target = progressive_target(phase.start, self.schedule.ramp, self.schedule.target)
+        target = self.dist.target
+        if phase.kind == COMPRESSED and "ramp" in self.acdc:
+            target = progressive_target(phase.start, target, **self.acdc["ramp"])
         masks = acdc_apply(
             phase.kind,
             model.prunable_weights(),
             self.dist.with_target(target),
-            self.schedule.decompression_sparsity,
+            self.acdc["decompression_sparsity"],
         )
         for name in model.prunable_names():
             model.store.set_mask(name, None if masks is None else masks[name])
@@ -214,8 +202,8 @@ class _AcdcDriver(_Driver):
         return {
             "phase_kind": self.current.kind if self.current else None,
             "phase_start": self.current.start if self.current else None,
-            "target": self.schedule.target,
-            "decompression_sparsity": self.schedule.decompression_sparsity,
+            "target": self.dist.target,
+            "decompression_sparsity": self.acdc["decompression_sparsity"],
         }
 
 
@@ -230,43 +218,15 @@ class RunResult:
 
 
 def _build_driver(cfg: ExperimentConfig) -> _Driver:
-    dist = SparsityDistribution(
-        kind=cfg.sparsity.distribution,
-        target=cfg.sparsity.target,
-        keep_dense=tuple(cfg.sparsity.keep_dense),
-    )
-    if cfg.method == "dense":
-        return _Driver()
-    if cfg.method == "oneshot":
-        return _OneshotDriver(dist)
-    if cfg.method == "gmp":
-        g = cfg.effective_gmp()
-        return _GmpDriver(
-            dist,
-            GmpState(
-                s_final=cfg.sparsity.target,
-                ramp_start=g["ramp_start"],
-                ramp_end=g["ramp_end"],
-                update_every=g["update_every"],
-            ),
-        )
-    if cfg.method == "rigl":
-        r = cfg.effective_rigl()
-        return _RiglDriver(dist, RiglState(alpha=r["alpha"], t_end=r["t_end"], delta_t=r["delta_t"]))
-    if cfg.method == "acdc":
-        a = cfg.effective_acdc()
-        schedule = AcdcSchedule(
-            total_epochs=cfg.effective_total,
-            target=cfg.sparsity.target,
-            warmup=a["warmup"],
-            phase_len=a["phase_len"],
-            last_decompression=a["last_decompression"],
-            last_compression=a["last_compression"],
-            decompression_sparsity=a["decompression_sparsity"],
-            ramp=ProgressiveRamp(**a["ramp"]) if "ramp" in a else None,
-        )
-        return _AcdcDriver(dist, schedule)
-    raise ConfigError(f"unknown method {cfg.method!r}")
+    sp = cfg.sparsity
+    dist = SparsityDistribution(sp.distribution, sp.target, tuple(sp.keep_dense))
+    return {
+        "dense": _Driver,
+        "oneshot": lambda: _OneshotDriver(dist),
+        "gmp": lambda: _GmpDriver(dist, cfg.effective_gmp()),
+        "rigl": lambda: _RiglDriver(dist, cfg.effective_rigl()),
+        "acdc": lambda: _AcdcDriver(dist, cfg.effective_total, cfg.effective_acdc()),
+    }[cfg.method]()
 
 
 def evaluate_row(
@@ -329,10 +289,7 @@ def train_epochs(
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
-    try:
-        driver = _build_driver(cfg)
-    except ScheduleError as e:
-        raise ConfigError(str(e)) from e
+    driver = _build_driver(cfg)
     root = Rng(cfg.seed)
     data = build_dataset(cfg.dataset, root.stream(STREAM_DATA))
     # IDX files give their sizes only once read, so the model is checked against them here

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -198,38 +198,20 @@ def shrink_mask(
 # -- GMP ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GmpState:
-    s_final: float
-    ramp_start: int = 0
-    ramp_end: int = 75
-    update_every: int = 5
-
-    def __post_init__(self):
-        if self.ramp_end <= self.ramp_start:
-            raise ScheduleError("GMP ramp must end after it starts")
-
-
-def gmp_sparsity_at(state: GmpState, t_epoch: int) -> float:
+def gmp_sparsity_at(
+    t_epoch: int, s_final: float, ramp_start: int, ramp_end: int, update_every: int
+) -> float:
     """Cubic ramp from 0 to s_final, stepping only every `update_every` epochs;
     s_final exactly from the ramp end onward (the mask freezes there)."""
-    if t_epoch >= state.ramp_end:
-        return state.s_final
-    tq = (t_epoch // state.update_every) * state.update_every
-    p = (tq - state.ramp_start) / (state.ramp_end - state.ramp_start)
+    if t_epoch >= ramp_end:
+        return s_final
+    tq = (t_epoch // update_every) * update_every
+    p = (tq - ramp_start) / (ramp_end - ramp_start)
     p = min(max(p, 0.0), 1.0)
-    return state.s_final * (1.0 - (1.0 - p) ** 3)
+    return s_final * (1.0 - (1.0 - p) ** 3)
 
 
 # -- RigL --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RiglState:
-    alpha: float = 0.3
-    t_end: int = 75
-    delta_t: int = 1
-    layer_sparsity: dict[str, float] = field(default_factory=dict)
 
 
 def rigl_fraction(t: float, alpha: float, t_end: float, s_l: float) -> float:
@@ -266,29 +248,6 @@ def rigl_step(
 
 
 @dataclass(frozen=True)
-class ProgressiveRamp:
-    start_epoch: int
-    end_epoch: int
-    start_sparsity: float = 0.9
-
-
-@dataclass(frozen=True)
-class AcdcSchedule:
-    total_epochs: int
-    target: float
-    warmup: int = 10
-    phase_len: int = 5
-    last_decompression: int = 15
-    last_compression: int = 10
-    decompression_sparsity: float = 0.0
-    ramp: ProgressiveRamp | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.decompression_sparsity <= self.target:
-            raise ScheduleError("decompression sparsity must lie in [0, target]")
-
-
-@dataclass(frozen=True)
 class Phase:
     kind: str
     start: int
@@ -299,42 +258,50 @@ class Phase:
         return self.start + self.length
 
 
-def acdc_phases(cfg: AcdcSchedule) -> list[Phase]:
+def acdc_phases(
+    total_epochs: int, warmup: int, phase_len: int, last_decompression: int, last_compression: int
+) -> list[Phase]:
     """Phase list built back to front: the run ends with `last_compression`
     compressed epochs preceded by `last_decompression` decompressed ones; the
     middle is tiled with alternating phases starting compressed, the first of
-    which absorbs any remainder."""
-    minimum = cfg.warmup + cfg.last_decompression + cfg.last_compression + 2 * cfg.phase_len
-    if cfg.total_epochs < minimum:
-        raise ScheduleError(
-            f"AC/DC needs at least {minimum} epochs, got {cfg.total_epochs}"
-        )
+    which absorbs any remainder.
+
+    The middle does not always end compressed. When it holds an even number
+    of phases its last one is decompressed and runs straight into the final
+    decompressed phase: at 60 epochs with warmup 4, phase_len 4,
+    last_decompression 12 and last_compression 4, epochs 40-56 are all
+    decompressed."""
+    minimum = warmup + last_decompression + last_compression + 2 * phase_len
+    if total_epochs < minimum:
+        raise ScheduleError(f"AC/DC needs at least {minimum} epochs, got {total_epochs}")
     phases: list[Phase] = []
-    if cfg.warmup > 0:
-        phases.append(Phase(DENSE_WARMUP, 0, cfg.warmup))
-    mid_start = cfg.warmup
-    mid_end = cfg.total_epochs - cfg.last_decompression - cfg.last_compression
+    if warmup > 0:
+        phases.append(Phase(DENSE_WARMUP, 0, warmup))
+    mid_start = warmup
+    mid_end = total_epochs - last_decompression - last_compression
     span = mid_end - mid_start
-    n_phases = span // cfg.phase_len
-    rem = span % cfg.phase_len
+    n_phases = span // phase_len
+    rem = span % phase_len
     start = mid_start
     for i in range(n_phases):
-        length = cfg.phase_len + (rem if i == 0 else 0)
+        length = phase_len + (rem if i == 0 else 0)
         kind = COMPRESSED if i % 2 == 0 else DECOMPRESSED
         phases.append(Phase(kind, start, length))
         start += length
-    phases.append(Phase(DECOMPRESSED, mid_end, cfg.last_decompression))
-    phases.append(Phase(COMPRESSED, mid_end + cfg.last_decompression, cfg.last_compression))
+    phases.append(Phase(DECOMPRESSED, mid_end, last_decompression))
+    phases.append(Phase(COMPRESSED, mid_end + last_decompression, last_compression))
     return phases
 
 
-def progressive_target(t_epoch: int, ramp: ProgressiveRamp, s_final: float) -> float:
+def progressive_target(
+    t_epoch: int, s_final: float, start_epoch: int, end_epoch: int, start_sparsity: float
+) -> float:
     """Compressed-phase target interpolated linearly from the ramp start."""
-    if ramp.end_epoch <= ramp.start_epoch:
+    if end_epoch <= start_epoch:
         return s_final
-    frac = (t_epoch - ramp.start_epoch) / (ramp.end_epoch - ramp.start_epoch)
+    frac = (t_epoch - start_epoch) / (end_epoch - start_epoch)
     frac = min(max(frac, 0.0), 1.0)
-    return ramp.start_sparsity + (s_final - ramp.start_sparsity) * frac
+    return start_sparsity + (s_final - start_sparsity) * frac
 
 
 def acdc_apply(

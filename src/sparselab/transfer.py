@@ -101,7 +101,6 @@ class StageRecord:
 class TransferResult:
     history: list[StageRecord]
     best_top1: float
-    masks_preserved: bool
 
 
 def _masks_identical(model: Model, snapshot: dict[str, np.ndarray]) -> bool:
@@ -173,11 +172,7 @@ def _finetune(
             if hyper.early_stop and since_improve >= PATIENCE:
                 break
     _set_trainable(model, set(model.store.names()))
-    return TransferResult(
-        history=history,
-        best_top1=best_top1,
-        masks_preserved=_masks_identical(model, mask_snapshot),
-    )
+    return TransferResult(history=history, best_top1=best_top1)
 
 
 def transfer_run(model: Model, data: Dataset, hyper: TransferHyper, rng: Rng) -> TransferResult:

@@ -31,8 +31,6 @@ from sparselab.sparsify import (
     COMPRESSED,
     DECOMPRESSED,
     DENSE_WARMUP,
-    AcdcSchedule,
-    GmpState,
     SparsityDistribution,
     acdc_phases,
     erk_densities,
@@ -99,20 +97,18 @@ def test_criterion_2_schedule_exactness():
         worst = max(worst, abs(got - want))
     assert worst <= 1e-12
 
-    st_ = GmpState(s_final=0.9, ramp_start=0, ramp_end=75, update_every=5)
-    assert gmp_sparsity_at(st_, 0) == 0.0
-    assert gmp_sparsity_at(st_, 75) == 0.9
-    assert gmp_sparsity_at(st_, 200) == 0.9
-    seq = [gmp_sparsity_at(st_, t) for t in range(101)]
+    gmp = {"s_final": 0.9, "ramp_start": 0, "ramp_end": 75, "update_every": 5}
+    assert gmp_sparsity_at(0, **gmp) == 0.0
+    assert gmp_sparsity_at(75, **gmp) == 0.9
+    assert gmp_sparsity_at(200, **gmp) == 0.9
+    seq = [gmp_sparsity_at(t, **gmp) for t in range(101)]
     assert all(b >= a for a, b in zip(seq, seq[1:]))
 
     for total in (100, 250, 500, 1000):
-        phases = acdc_phases(
-            AcdcSchedule(total_epochs=total, target=0.95, warmup=round(0.1 * total))
-        )
+        phases = acdc_phases(total, round(0.1 * total), 5, 15, 10)
         assert sum(p.length for p in phases) == total
         assert phases[-1].kind == COMPRESSED
-    phases = acdc_phases(AcdcSchedule(total_epochs=100, target=0.95, warmup=10))
+    phases = acdc_phases(100, 10, 5, 15, 10)
     want = [(DENSE_WARMUP, 0, 10)]
     start = 10
     for i in range(13):
@@ -514,7 +510,7 @@ def test_criterion_9_weight_decay_trend(tmp_path):
     # had no effect the three runs would be identical and tie, which fails.
     acdc = {"warmup": 4, "phase_len": 4, "last_decompression": 12, "last_compression": 4}
     total = 60
-    phases = acdc_phases(AcdcSchedule(total_epochs=total, target=0.85, **acdc))
+    phases = acdc_phases(total, **acdc)
     final_d = [p for p in phases if p.kind == DECOMPRESSED][-1]
     wins = 0
     per_seed = []
@@ -593,7 +589,6 @@ def test_criterion_10_transfer_contracts(monkeypatch):
         assert rec.lr_last <= hyper.lr / 2  # decayed to ~0 within one step
     for n, m in model.store.masks().items():  # fixed-mask bit identity
         assert np.array_equal(m, mask_before[n])
-    assert result.masks_preserved
     assert all(np.isfinite(rec.eval_loss) for rec in result.history)
     report(10, f"nesting, fixed masks, stage isolation, LR rewind on B={B} gradual unfreeze")
 

@@ -135,9 +135,24 @@ def test_invalid_config_exit_2(tmp_path):
     assert main(["train", "--config", bad, "--out", str(tmp_path / "x")]) == 2
 
 
-def test_sweep_with_a_bad_run_config_exit_2(tmp_path):
+SHORT_ACDC = {"method": "acdc", "total_epochs": 7,
+              "acdc": {"warmup": 1, "phase_len": 1, "last_decompression": 2, "last_compression": 2}}
+# (base overrides, grid) of sweeps whose first run is good and whose second is not
+BAD_SECOND_RUNS = {
+    "eval-train-split-string": ({}, {"eval_train_split": [False, "no"]}),
+    "acdc-too-short": (SHORT_ACDC, {"total_epochs": [7, 5]}),
+    "gmp-ramp-reversed": ({"method": "gmp", "gmp": {"ramp_start": 2}}, {"gmp.ramp_end": [3, 1]}),
+    "acdc-decompression-above-target": ({**SHORT_ACDC, "sparsity": {"target": 0.9}},
+                                        {"acdc.decompression_sparsity": [0.5, 0.95]}),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_SECOND_RUNS))
+def test_sweep_with_a_bad_run_config_exit_2(tmp_path, name):
+    base, grid = BAD_SECOND_RUNS[name]
     tree = json.load(open(os.path.join(FIXTURES, "sweep_grid.json")))
-    tree["grid"]["eval_train_split"] = [False, "no"]
+    tree["base"].update(base)
+    tree["grid"] = grid
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--grid", write_cfg(tmp_path, "grid.json", tree), "--out", out]) == 2
     assert not os.path.exists(out)
@@ -305,6 +320,7 @@ BAD_CONFIGS = {
     "class-count-mismatch": ({"model.layer_dims": [64, 32, 4]}, 2),
     "acdc-too-short": ({"total_epochs": 4}, 2),
     "gmp-ramp-reversed": ({"method": "gmp", "gmp.ramp_start": 3, "gmp.ramp_end": 2}, 2),
+    "acdc-decompression-above-target": ({"acdc.decompression_sparsity": 0.95}, 2),
     "multiplier-overflow": ({"multiplier": 1e308}, 2),
     "epochs-beyond-float": ({"total_epochs": 10**400}, 2),
     "sequence-vocab-above-model": ({"model": {"arch": "tiny-transformer", "vocab": 4, "max_len": 8},

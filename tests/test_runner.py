@@ -24,7 +24,7 @@ from sparselab.runner import (
     run_sweep,
     train_epochs,
 )
-from sparselab.sparsify import COMPRESSED, AcdcSchedule, acdc_phases
+from sparselab.sparsify import COMPRESSED, acdc_phases
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -34,6 +34,13 @@ def fixture_cfg(name, **overrides):
         tree = json.load(f)
     tree.update(overrides)
     return ExperimentConfig.from_dict(tree)
+
+
+def config_phases(cfg):
+    """The AC/DC phases of a config's effective schedule."""
+    a = cfg.effective_acdc()
+    return acdc_phases(cfg.effective_total, a["warmup"], a["phase_len"],
+                       a["last_decompression"], a["last_compression"])
 
 
 def test_dense_smoke(tmp_path):
@@ -74,18 +81,7 @@ def test_csv_schema_stable(tmp_path):
 def test_acdc_checkpoints_at_compressed_phase_ends(tmp_path):
     cfg = fixture_cfg("acdc_blobs.json")
     res = run_experiment(cfg, str(tmp_path / "run"))
-    a = cfg.effective_acdc()
-    phases = acdc_phases(
-        AcdcSchedule(
-            total_epochs=cfg.effective_total,
-            target=cfg.sparsity.target,
-            warmup=a["warmup"],
-            phase_len=a["phase_len"],
-            last_decompression=a["last_decompression"],
-            last_compression=a["last_compression"],
-        )
-    )
-    want = sorted(p.end for p in phases if p.kind == COMPRESSED)
+    want = sorted(p.end for p in config_phases(cfg) if p.kind == COMPRESSED)
     got = sorted(load_checkpoint(p).meta["epoch"] for p in res.checkpoint_paths)
     assert got == want
     # compressed checkpoints carry masks at exactly the target sparsity
@@ -149,12 +145,7 @@ def test_oneshot_fixed_mask(tmp_path):
 def test_multiplier_consistency_acdc_and_gmp():
     base = fixture_cfg("acdc_blobs.json", total_epochs=100, acdc={}, multiplier=1.0)
     doubled = fixture_cfg("acdc_blobs.json", total_epochs=100, acdc={}, multiplier=2.0)
-    a1 = base.effective_acdc()
-    a2 = doubled.effective_acdc()
-    ph1 = acdc_phases(AcdcSchedule(total_epochs=base.effective_total, target=0.9, **{
-        k: a1[k] for k in ("warmup", "phase_len", "last_decompression", "last_compression")}))
-    ph2 = acdc_phases(AcdcSchedule(total_epochs=doubled.effective_total, target=0.9, **{
-        k: a2[k] for k in ("warmup", "phase_len", "last_decompression", "last_compression")}))
+    ph1, ph2 = config_phases(base), config_phases(doubled)
     assert len(ph1) == len(ph2)
     for p1, p2 in zip(ph1, ph2):
         assert p2.kind == p1.kind

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,16 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselab import sparsify
-from sparselab.errors import LayerCollapseError, ScheduleError
+from sparselab.config import ExperimentConfig
+from sparselab.errors import ConfigError, LayerCollapseError, ScheduleError
 from sparselab.rng import Rng
 from sparselab.sparsify import (
     BLOCK,
     COMPRESSED,
     DECOMPRESSED,
     DENSE_WARMUP,
-    AcdcSchedule,
-    GmpState,
-    ProgressiveRamp,
     SparsityDistribution,
     acdc_apply,
     acdc_phases,
@@ -172,40 +171,49 @@ def test_erk_budget_property(s, shapes):
 # -- GMP ------------------------------------------------------------------------
 
 
+def gmp_ramp(s_final, ramp_start=0, ramp_end=75, update_every=5):
+    """`gmp_sparsity_at` as a function of the epoch alone."""
+    return functools.partial(gmp_sparsity_at, s_final=s_final, ramp_start=ramp_start,
+                             ramp_end=ramp_end, update_every=update_every)
+
+
 def test_gmp_before_ramp_zero():
-    st_ = GmpState(s_final=0.8, ramp_start=10, ramp_end=50)
-    assert gmp_sparsity_at(st_, 0) == 0.0
-    assert gmp_sparsity_at(st_, 10) == 0.0
+    st_ = gmp_ramp(s_final=0.8, ramp_start=10, ramp_end=50)
+    assert st_(0) == 0.0
+    assert st_(10) == 0.0
 
 
 def test_gmp_after_ramp_final():
-    st_ = GmpState(s_final=0.8, ramp_start=0, ramp_end=30)
-    assert gmp_sparsity_at(st_, 30) == 0.8
-    assert gmp_sparsity_at(st_, 100) == 0.8
+    st_ = gmp_ramp(s_final=0.8, ramp_start=0, ramp_end=30)
+    assert st_(30) == 0.8
+    assert st_(100) == 0.8
 
 
 def test_gmp_midpoint_cubic():
-    st_ = GmpState(s_final=0.8, ramp_start=0, ramp_end=20, update_every=5)
+    st_ = gmp_ramp(s_final=0.8, ramp_start=0, ramp_end=20, update_every=5)
     # t=10 is on the 5-epoch grid and exactly mid-ramp
-    assert gmp_sparsity_at(st_, 10) == pytest.approx(0.8 * (1 - 0.125), abs=1e-15)
+    assert st_(10) == pytest.approx(0.8 * (1 - 0.125), abs=1e-15)
 
 
 def test_gmp_quantized_to_update_grid():
-    st_ = GmpState(s_final=0.9, ramp_start=0, ramp_end=40, update_every=5)
-    assert gmp_sparsity_at(st_, 7) == gmp_sparsity_at(st_, 5)
-    assert gmp_sparsity_at(st_, 9) == gmp_sparsity_at(st_, 5)
-    assert gmp_sparsity_at(st_, 10) > gmp_sparsity_at(st_, 5)
+    st_ = gmp_ramp(s_final=0.9, ramp_start=0, ramp_end=40, update_every=5)
+    assert st_(7) == st_(5)
+    assert st_(9) == st_(5)
+    assert st_(10) > st_(5)
 
 
 def test_gmp_monotone_nondecreasing():
-    st_ = GmpState(s_final=0.95, ramp_start=0, ramp_end=75, update_every=5)
-    values = [gmp_sparsity_at(st_, t) for t in range(100)]
+    st_ = gmp_ramp(s_final=0.95, ramp_start=0, ramp_end=75, update_every=5)
+    values = [st_(t) for t in range(100)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_gmp_invalid_ramp():
-    with pytest.raises(ScheduleError):
-        GmpState(s_final=0.5, ramp_start=10, ramp_end=10)
+    for ramp_end in (10, 5):
+        with pytest.raises(ConfigError, match="GMP ramp must end after it starts"):
+            ExperimentConfig.from_dict(
+                {"method": "gmp", "total_epochs": 20, "gmp": {"ramp_start": 10, "ramp_end": ramp_end}}
+            )
 
 
 @given(seed=st.integers(0, 5000))
@@ -307,13 +315,14 @@ def test_rigl_conservation_property(seed, n, frac):
 # -- AC/DC ------------------------------------------------------------------------
 
 
-def default_schedule(total, **kw):
-    return AcdcSchedule(total_epochs=total, target=0.95,
-                        warmup=kw.pop("warmup", max(1, round(0.1 * total))), **kw)
+def default_schedule(total, warmup=None, phase_len=5, last_decompression=15, last_compression=10):
+    """`acdc_phases`' arguments with AcdcCfg's defaults, warmup 10% of the run."""
+    warmup = max(1, round(0.1 * total)) if warmup is None else warmup
+    return total, warmup, phase_len, last_decompression, last_compression
 
 
 def test_acdc_phase_list_100():
-    phases = acdc_phases(default_schedule(100))
+    phases = acdc_phases(*default_schedule(100))
     assert phases[0] == (DENSE_WARMUP, 0, 10) or (
         phases[0].kind == DENSE_WARMUP and phases[0].start == 0 and phases[0].length == 10
     )
@@ -330,14 +339,14 @@ def test_acdc_phase_list_100():
 
 def test_acdc_minimum_feasible_total():
     total = 10 + 2 * 5 + 15 + 10
-    phases = acdc_phases(AcdcSchedule(total_epochs=total, target=0.9, warmup=10))
+    phases = acdc_phases(*default_schedule(total, warmup=10))
     non_warmup = [p for p in phases if p.kind != DENSE_WARMUP]
     assert len(non_warmup) == 4
     assert sum(p.length for p in phases) == total
 
 
 def test_acdc_1000_with_warmup_100():
-    phases = acdc_phases(AcdcSchedule(total_epochs=1000, target=0.95, warmup=100))
+    phases = acdc_phases(*default_schedule(1000, warmup=100))
     assert phases[-2].start == 975 - 100 + 100  # decompression begins at 975
     assert phases[-2] .start == 975
     assert phases[-1].start == 990 and phases[-1].end == 1000
@@ -350,22 +359,22 @@ def test_acdc_1000_with_warmup_100():
 
 def test_acdc_remainder_absorbed_by_first_compressed():
     # middle span 13 with phase_len 5 -> first compressed phase takes 5+3
-    cfg = AcdcSchedule(total_epochs=1 + 13 + 15 + 10, target=0.9, warmup=1)
-    phases = acdc_phases(cfg)
+    total = 1 + 13 + 15 + 10
+    phases = acdc_phases(*default_schedule(total, warmup=1))
     mid = phases[1:-2]
     assert mid[0].kind == COMPRESSED and mid[0].length == 8
     assert mid[1].kind == DECOMPRESSED and mid[1].length == 5
-    assert sum(p.length for p in phases) == cfg.total_epochs
+    assert sum(p.length for p in phases) == total
 
 
 def test_acdc_infeasible_total():
     with pytest.raises(ScheduleError):
-        acdc_phases(AcdcSchedule(total_epochs=30, target=0.9, warmup=10))
+        acdc_phases(*default_schedule(30, warmup=10))
 
 
 @pytest.mark.parametrize("total", [100, 250, 500, 1000])
 def test_acdc_totals_cover_and_end_compressed(total):
-    phases = acdc_phases(default_schedule(total))
+    phases = acdc_phases(*default_schedule(total))
     assert sum(p.length for p in phases) == total
     assert phases[-1].kind == COMPRESSED
     # no gaps or overlaps
@@ -397,12 +406,13 @@ def test_acdc_apply_compression_idempotent():
 
 
 def test_progressive_target_endpoints_and_midpoint():
-    ramp = ProgressiveRamp(start_epoch=10, end_epoch=50, start_sparsity=0.9)
-    assert progressive_target(10, ramp, 0.99) == pytest.approx(0.9, abs=0)
-    assert progressive_target(50, ramp, 0.99) == pytest.approx(0.99, abs=0)
-    assert progressive_target(30, ramp, 0.99) == pytest.approx(0.945, abs=1e-12)
-    assert progressive_target(0, ramp, 0.99) == pytest.approx(0.9)
-    assert progressive_target(99, ramp, 0.99) == pytest.approx(0.99)
+    ramp = functools.partial(progressive_target, s_final=0.99, start_epoch=10, end_epoch=50,
+                             start_sparsity=0.9)
+    assert ramp(10) == pytest.approx(0.9, abs=0)
+    assert ramp(50) == pytest.approx(0.99, abs=0)
+    assert ramp(30) == pytest.approx(0.945, abs=1e-12)
+    assert ramp(0) == pytest.approx(0.9)
+    assert ramp(99) == pytest.approx(0.99)
 
 
 def test_shrink_mask_block4_nesting():

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import changed_per_stage, mlp_spec, record_stage_starts, tiny_transformer_spec
 from sparselab.data import DatasetSpec, build_dataset
-from sparselab.errors import ConfigError
+from sparselab.errors import ConfigError, MaskMutationError
 from sparselab.models import build_model
 from sparselab.rng import Rng, STREAM_DATA
 from sparselab.sparsify import SparsityDistribution, magnitude_mask
@@ -94,7 +94,6 @@ def test_transfer_run_contracts():
     # machinery through its public single call, then verify via fresh run
     result = transfer_run(model, data, hyper, Rng(100))
     assert len(result.history) == 4
-    assert result.masks_preserved
     for n, m in model.store.masks().items():
         assert np.array_equal(m, masks_before[n])
     # LR rewind: first lr equals peak, last lr within one step of zero
@@ -102,6 +101,24 @@ def test_transfer_run_contracts():
         assert rec.lr_first == pytest.approx(hyper.lr)
         assert 0.0 <= rec.lr_last <= hyper.lr / 2
         assert rec.eval_loss > 0.0
+
+
+def test_mask_changed_during_a_stage_raises(monkeypatch):
+    from sparselab import runner, transfer
+
+    def mask_flipping(model, *args, **kwargs):
+        """`train_epochs` that flips one mask entry after each epoch."""
+        for row in runner.train_epochs(model, *args, **kwargs):
+            name, mask = next(iter(model.store.masks().items()))
+            mask = mask.copy()
+            mask.flat[0] = 1.0 - mask.flat[0]
+            model.store.set_mask(name, mask)
+            yield row
+
+    monkeypatch.setattr(transfer, "train_epochs", mask_flipping)
+    hyper = TransferHyper(lr=0.05, batch_size=32, early_stop=False)
+    with pytest.raises(MaskMutationError, match="stage 0"):
+        transfer_run(sparse_transformer(seed=2), seq_data(), hyper, Rng(100))
 
 
 def test_stage_isolation_by_checkpoint_diff(monkeypatch):

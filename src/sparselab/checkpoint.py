@@ -51,7 +51,7 @@ def save_checkpoint(
     momentum: dict[str, np.ndarray] | None = None,
 ) -> None:
     records = []
-    blobs = []
+    arrays = []
     offset = 0
 
     def push(kind, name, arr):
@@ -60,9 +60,8 @@ def save_checkpoint(
         records.append(
             {"name": name, "kind": kind, "shape": list(arr.shape), "offset": offset}
         )
-        blob = arr.tobytes()
-        blobs.append(blob)
-        offset += len(blob)
+        arrays.append(arr)
+        offset += arr.nbytes
 
     for name, entry in store.items():
         push(KIND_WEIGHTS, name, entry.weights)
@@ -81,8 +80,8 @@ def save_checkpoint(
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<Q", len(header)))
         f.write(header)
-        for blob in blobs:
-            f.write(blob)
+        for arr in arrays:
+            f.write(arr.data)  # the tensor's own buffer: no byte copy
     os.replace(tmp, path)
 
 
@@ -107,7 +106,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
             and isinstance(header.get("meta"), dict)):
         raise CheckpointError(f"{path}: header needs a tensor list and a metadata object")
-    payload = raw[header_end:]
+    payload = memoryview(raw)[header_end:]  # the tensors are read-only views of `raw`
     tensors: dict[tuple[str, str], np.ndarray] = {}
     for rec in header["tensors"]:
         try:
@@ -122,7 +121,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         if start + 4 * count > len(payload):
             raise CheckpointError(f"{path}: tensor {name} out of payload bounds")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
-        tensors[(kind, name)] = arr.reshape(shape).copy()
+        tensors[(kind, name)] = arr.reshape(shape)
     return Checkpoint(tensors=tensors, meta=header["meta"])
 
 

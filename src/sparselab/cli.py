@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagnostics
-from .checkpoint import Checkpoint, load_checkpoint, rebuild_model
+from .checkpoint import load_checkpoint, rebuild_model
 from .config import ExperimentConfig, format_sig9
 from .data import DatasetSpec, build_dataset
 from .errors import CheckpointError, ConfigError, SparselabError
@@ -27,18 +27,19 @@ from .runner import dataset_loss, run_experiment, run_sweep, _atomic_write
 from .transfer import TransferHyper, baseline_recipes, transfer_run
 
 
-def _meta(ck: Checkpoint, path: str, key: str, kind: type):
+def _meta(meta: dict, path: str, key: str, kind: type):
     """A run-metadata field of a checkpoint; one saved outside `train` may lack it."""
-    value = ck.meta.get(key)
+    value = meta.get(key)
     if not isinstance(value, kind):
         raise CheckpointError(f"{path}: checkpoint metadata has no valid {key!r}")
     return value
 
 
 def _load_run(ckpt_path: str):
-    """Checkpoint, model and config reconstructed from a checkpoint's metadata."""
+    """Model, config and metadata of a checkpoint; its loaded tensors are dropped."""
     ck = load_checkpoint(ckpt_path)
-    return ck, rebuild_model(ck), ExperimentConfig.from_dict(_meta(ck, ckpt_path, "config", dict))
+    model = rebuild_model(ck)
+    return model, ExperimentConfig.from_dict(_meta(ck.meta, ckpt_path, "config", dict)), ck.meta
 
 
 def _run_dataset(cfg: ExperimentConfig):
@@ -75,7 +76,7 @@ def _cmd_analyze_masks(args) -> int:
     for p in paths:
         ck = load_checkpoint(p)
         model = rebuild_model(ck)
-        epoch = _meta(ck, p, "epoch", int)
+        epoch = _meta(ck.meta, p, "epoch", int)
         epochs.append(epoch)
         supports.append(_supports(model))
         conv = model.conv_layers()
@@ -99,12 +100,13 @@ def _cmd_analyze_masks(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    ck, model, cfg = _load_run(args.checkpoint)
-    epoch = _meta(ck, args.checkpoint, "epoch", int)
+    model, cfg, meta = _load_run(args.checkpoint)
+    epoch = _meta(meta, args.checkpoint, "epoch", int)
     data = _run_dataset(cfg)
     rng = Rng(cfg.seed).stream(STREAM_SHARPNESS)
     idx = rng.permutation(len(data.x_train))[: args.batch_size]
-    x, y = data.x_train[idx], data.y_train[idx]
+    x, y = data.x_train[idx].astype(np.float64), data.y_train[idx]  # f64 like the params
+    del data
 
     def grad_fn(params):
         _, grads = model.loss_and_grad(x, y, params=params)
@@ -122,14 +124,15 @@ def _cmd_interpolate(args) -> int:
     if len(args.checkpoints) < 2:
         raise ConfigError("interpolate needs at least two checkpoints")
     loaded = [_load_run(p) for p in args.checkpoints]
-    _, model, cfg = loaded[0]
-    for _, m, c in loaded[1:]:
+    model, cfg, _ = loaded[0]
+    for m, c, _ in loaded[1:]:
         if m.spec != model.spec:
             raise ConfigError("checkpoints come from different architectures")
         if c.dataset != cfg.dataset or c.seed != cfg.seed:
             raise ConfigError("checkpoints come from runs with different datasets or seeds")
+    params = [{n: e.weights for n, e in m.store.items()} for m, _, _ in loaded]
+    del loaded  # frees every mask but the first model's
     data = _run_dataset(cfg)
-    params = [{n: e.weights.copy() for n, e in m.store.items()} for _, m, _ in loaded]
     loss_fns = {
         "train": lambda p: dataset_loss(model, data.x_train, data.y_train, params=p),
         "val": lambda p: dataset_loss(model, data.x_val, data.y_val, params=p),

@@ -202,6 +202,10 @@ class ExperimentConfig:
             a = self.effective_acdc()
             if not 0.0 <= a["decompression_sparsity"] <= sp.target:
                 raise ConfigError("decompression sparsity must lie in [0, target]")
+            if (self.acdc.ramp_start is None) != (self.acdc.ramp_end is None):
+                raise ConfigError("acdc.ramp_start and acdc.ramp_end must be set together")
+            if "ramp" in a and a["ramp"]["end_epoch"] <= a["ramp"]["start_epoch"]:
+                raise ConfigError("AC/DC ramp must end after it starts")
             try:
                 acdc_phases(self.effective_total, a["warmup"], a["phase_len"],
                             a["last_decompression"], a["last_compression"])

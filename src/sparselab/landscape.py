@@ -26,13 +26,12 @@ def _as_f64(params: ParamDict) -> ParamDict:
 
 
 def _project(v: ParamDict, support: ParamDict | None) -> ParamDict:
-    if support is None:
-        return {n: a.copy() for n, a in v.items()}
-    out = {}
+    """v restricted to the support, in place: entries off it become 0."""
     for n, a in v.items():
-        sup = support.get(n)
-        out[n] = a.copy() if sup is None else a * (sup != 0.0)
-    return out
+        sup = None if support is None else support.get(n)
+        if sup is not None:
+            np.multiply(a, sup != 0.0, out=a)
+    return v
 
 
 def _dot(a: ParamDict, b: ParamDict) -> float:
@@ -42,22 +41,33 @@ def _dot(a: ParamDict, b: ParamDict) -> float:
 def hvp(grad_fn, params: ParamDict, v: ParamDict, support: ParamDict | None = None) -> ParamDict:
     """Central-difference Hessian-vector product restricted to the support.
 
-    grad_fn maps a parameter dict to a gradient dict at the same keys.
+    grad_fn maps a parameter dict to a gradient dict at the same keys. Both
+    perturbed points are written into one buffer, so grad_fn must not keep
+    the dict it is given.
     """
-    params = _as_f64(params)
-    v = _project(_as_f64(v), support)
+    params, v = _as_f64(params), _as_f64(v)
+    buf = {n: np.empty_like(w) for n, w in params.items()}
+
+    def v_on_support() -> ParamDict:
+        for n, b in buf.items():
+            np.copyto(b, v[n])
+        return _project(buf, support)
+
     max_w = max((np.abs(w).max() if w.size else 0.0) for w in params.values())
-    max_v = max((np.abs(a).max() if a.size else 0.0) for a in v.values())
+    max_v = max((np.abs(a).max() if a.size else 0.0) for a in v_on_support().values())
     eps = 1e-3 * (1.0 + max_w) / max(1.0, max_v)
-    plus = {n: params[n] + eps * v[n] for n in params}
-    minus = {n: params[n] - eps * v[n] for n in params}
-    g_plus = grad_fn(plus)
-    g_minus = grad_fn(minus)
+    grads = []
+    for op in (np.add, np.subtract):  # params + eps * v, then params - eps * v
+        for n, b in v_on_support().items():
+            b *= eps
+            op(params[n], b, out=b)
+        grads.append(grad_fn(buf))
+    del buf
+    g_plus, g_minus = grads
     out = {}
     for n in params:
-        h = (np.asarray(g_plus[n], dtype=np.float64) - np.asarray(g_minus[n], dtype=np.float64)) / (
-            2.0 * eps
-        )
+        h = np.subtract(g_plus[n], g_minus[n], dtype=np.float64)
+        h /= 2.0 * eps
         if not np.all(np.isfinite(h)):
             raise NonFiniteError(f"non-finite HVP for {n}")
         out[n] = h
@@ -74,22 +84,22 @@ def sharpness(
     """Largest Hessian eigenvalue estimate: power iteration from a unit
     random vector on the support, returning the final Rayleigh quotient."""
     params = _as_f64(params)
-    v = {n: rng.normals(w.size).reshape(w.shape) for n, w in params.items()}
-    v = _project(v, support)
+    v = _project({n: rng.normals(w.size).reshape(w.shape) for n, w in params.items()}, support)
     norm = math.sqrt(_dot(v, v))
     if norm == 0.0:
         log.warning("sharpness: empty support, returning 0")
         return 0.0
-    v = {n: a / norm for n, a in v.items()}
     rayleigh = 0.0
     for _ in range(power_iters):
+        for a in v.values():
+            a /= norm
         hv = hvp(grad_fn, params, v, support)
         rayleigh = _dot(v, hv)
         norm = math.sqrt(_dot(hv, hv))
         if norm == 0.0 or not math.isfinite(norm):
             log.warning("sharpness: Hv vanished, returning 0")
             return 0.0
-        v = {n: a / norm for n, a in hv.items()}
+        v = hv
     return rayleigh
 
 
@@ -132,12 +142,11 @@ def interpolate_path(
             elif j == segs:
                 blend = b
             else:
-                blend = {
-                    n: ((1.0 - lam) * a[n].astype(np.float64) + lam * b[n].astype(np.float64)).astype(
-                        a[n].dtype
-                    )
-                    for n in names
-                }
+                blend = {}
+                for n in names:  # (1 - lam) a + lam b at f64, with one f64 temporary
+                    x = np.multiply(a[n], 1.0 - lam, dtype=np.float64)
+                    x += np.multiply(b[n], lam, dtype=np.float64)
+                    blend[n] = x.astype(a[n].dtype)
             alpha = (i + lam) / n_int
             for split in spec.splits:
                 rows.append((alpha, split, float(loss_fns[split](blend))))

@@ -224,15 +224,13 @@ class Rng:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller on consecutive uniform pairs."""
-        m = (n + 1) // 2
-        u = self.uniforms(2 * m)
-        u1 = 1.0 - u[0::2]  # in (0, 1], keeps log finite
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        z = np.empty(2 * m, dtype=np.float64)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
+        z = self.uniforms(2 * ((n + 1) // 2))  # overwritten with the normals
+        r = np.subtract(1.0, z[0::2])  # in (0, 1], keeps log finite
+        np.sqrt(np.multiply(np.log(r, out=r), -2.0, out=r), out=r)
+        # contiguous: numpy's SIMD log, sin and cos may round strided input differently
+        theta = np.multiply(z[1::2], 2.0 * math.pi)
+        np.multiply(r, np.cos(theta), out=z[0::2])
+        np.multiply(r, np.sin(theta, out=theta), out=z[1::2])
         return z[:n]
 
     def below(self, n: int) -> int:

@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -422,7 +421,8 @@ def run_sweep(base: dict, grid: dict[str, list], out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     jobs = [(tree, os.path.join(out_dir, name)) for name, tree in runs]
     threads = int(os.environ.get("SPARSELAB_THREADS", "1"))
-    if threads > 1:
+    if threads > 1:  # imported here: multiprocessing is costly to load for the serial path
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:

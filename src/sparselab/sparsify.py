@@ -148,14 +148,15 @@ def _select(
     if not pooled:
         return {}
     pools = scoring_pools({n: w.shape for n, w in pooled.items()}, dist)
-    scores = {n: np.abs(w.reshape(-1).astype(np.float64)) for n, w in pooled.items()}
+    # |w| in the weights' own dtype: exact, so order and ties are those of its f64 value
+    scores = {n: np.abs(w.reshape(-1)) for n, w in pooled.items()}
     active = {
         n: np.ones(w.size, dtype=bool) if masks is None else masks[n].reshape(-1) != 0.0
         for n, w in pooled.items()
     }
     unit = BLOCK if dist.kind == BLOCK4_GLOBAL else 1
     if unit == BLOCK:
-        scores = {n: _blocks(sc).sum(axis=1) for n, sc in scores.items()}
+        scores = {n: _blocks(sc.astype(np.float64)).sum(axis=1) for n, sc in scores.items()}
         active = {n: _blocks(a).any(axis=1) for n, a in active.items()}
     out = {}
     for names, kept in pools:
@@ -231,8 +232,8 @@ def rigl_step(
     highest-|grad| inactive ones; k = round(fraction * active count)."""
     if not 0.0 <= fraction <= 1.0:
         raise ScheduleError(f"update fraction {fraction} outside [0, 1]")
-    flat_w = np.abs(weights.reshape(-1).astype(np.float64))
-    flat_g = np.abs(grads.reshape(-1).astype(np.float64))
+    flat_w = np.abs(weights.reshape(-1))  # exact in any float dtype, like _select's scores
+    flat_g = np.abs(grads.reshape(-1))
     active = mask.reshape(-1) != 0.0
     n_active = int(active.sum())
     n_inactive = active.size - n_active

@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,3 +271,23 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     path = str(tmp_path / "a.splb")
     save_checkpoint(path, model.store, {"epoch": 0})
     assert os.listdir(tmp_path) == ["a.splb"]
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_io_holds_the_payload_once(tmp_path):
+    """load_checkpoint reads the file into one buffer whose views are the
+    tensors, and save_checkpoint writes each tensor's own buffer."""
+    model = build_model(mlp_spec((256, 256, 10)), Rng(6))
+    momentum = {n: np.ones_like(e.weights) for n, e in model.store.items()}
+    path = str(tmp_path / "a.splb")
+    payload = 4 * 2 * sum(e.weights.size for _, e in model.store.items())
+    assert _traced_peak(save_checkpoint, path, model.store, {"epoch": 0}, momentum) < payload / 4
+    assert _traced_peak(load_checkpoint, path) <= 1.1 * os.path.getsize(path)

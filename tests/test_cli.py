@@ -4,6 +4,8 @@ import json
 import os
 import pathlib
 import struct
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import write_idx_pair
+import sparselab
 from sparselab.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -128,6 +131,16 @@ def test_sweep_command(tmp_path):
     assert main(["sweep", "--grid", grid, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "summary.csv"))
     assert os.path.exists(os.path.join(out, "summary.json"))
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """Only a multi-worker sweep loads multiprocessing (socket, subprocess)."""
+    src = os.path.dirname(os.path.dirname(sparselab.__file__))  # the package this test imports
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, sparselab.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_invalid_config_exit_2(tmp_path):
@@ -335,7 +348,10 @@ BAD_CONFIGS = {
                                        "sparsity.target": 0.99, "model.layer_dims": [64, 8, 10]}, 2),
     "acdc-ramp-start-sparsity-one": ({"acdc.ramp_start": 1, "acdc.ramp_end": 5,
                                       "acdc.ramp_start_sparsity": 1.0}, 2),
-    "acdc-ramp-budget-zeroes-a-layer": ({"sparsity.distribution": "uniform", "sparsity.target": 0.5,
+    "acdc-ramp-start-without-end": ({"acdc.ramp_start": 1}, 2),
+    "acdc-ramp-end-without-start": ({"acdc.ramp_end": 5}, 2),
+    "acdc-ramp-ends-where-it-starts": ({"acdc.ramp_start": 5, "acdc.ramp_end": 5}, 2),
+    "acdc-ramp-budget-zeroes-a-layer":({"sparsity.distribution": "uniform", "sparsity.target": 0.5,
                                          "acdc.ramp_start": 1, "acdc.ramp_end": 5,
                                          "acdc.ramp_start_sparsity": 0.99,
                                          "model.layer_dims": [64, 8, 10]}, 2),

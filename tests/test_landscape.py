@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,136 @@ def test_masked_sharpness_interlaces_below_full():
     full_got = sharpness(fn, params, Rng(34), power_iters=20)
     masked_got = sharpness(fn, params, Rng(34), support={"fc1.weight": mask}, power_iters=20)
     assert masked_got <= full_got + 0.05 * abs(full_got)
+
+
+# -- the copy-based reference ---------------------------------------------------
+# hvp, sharpness and interpolate_path as they were before they worked in place:
+# every step made new arrays. The package's versions must match them bit for bit.
+
+
+def _ref_project(v, support):
+    if support is None:
+        return {n: a.copy() for n, a in v.items()}
+    return {n: a.copy() if support.get(n) is None else a * (support[n] != 0.0)
+            for n, a in v.items()}
+
+
+def ref_hvp(grad_fn, params, v, support=None):
+    params = {n: np.asarray(w, dtype=np.float64) for n, w in params.items()}
+    v = _ref_project({n: np.asarray(a, dtype=np.float64) for n, a in v.items()}, support)
+    max_w = max((np.abs(w).max() if w.size else 0.0) for w in params.values())
+    max_v = max((np.abs(a).max() if a.size else 0.0) for a in v.values())
+    eps = 1e-3 * (1.0 + max_w) / max(1.0, max_v)
+    g_plus = grad_fn({n: params[n] + eps * v[n] for n in params})
+    g_minus = grad_fn({n: params[n] - eps * v[n] for n in params})
+    out = {n: (np.asarray(g_plus[n], dtype=np.float64) - np.asarray(g_minus[n], dtype=np.float64))
+           / (2.0 * eps) for n in params}
+    return _ref_project(out, support)
+
+
+def ref_sharpness(grad_fn, params, rng, support=None, power_iters=20):
+    params = {n: np.asarray(w, dtype=np.float64) for n, w in params.items()}
+    v = _ref_project({n: rng.normals(w.size).reshape(w.shape) for n, w in params.items()}, support)
+    dot = lambda a, b: float(sum((a[n] * b[n]).sum() for n in a))  # noqa: E731
+    norm = np.sqrt(dot(v, v))
+    if norm == 0.0:
+        return 0.0
+    v = {n: a / norm for n, a in v.items()}
+    rayleigh = 0.0
+    for _ in range(power_iters):
+        hv = ref_hvp(grad_fn, params, v, support)
+        rayleigh = dot(v, hv)
+        norm = np.sqrt(dot(hv, hv))
+        if norm == 0.0 or not np.isfinite(norm):
+            return 0.0
+        v = {n: a / norm for n, a in hv.items()}
+    return rayleigh
+
+
+def ref_interpolate_path(checkpoints, loss_fns, spec):
+    segs, n_int = spec.segments_per_interval, len(checkpoints) - 1
+    rows = []
+    for i in range(n_int):
+        a, b = checkpoints[i], checkpoints[i + 1]
+        for j in range(0 if i == 0 else 1, segs + 1):
+            lam = j / segs
+            blend = a if j == 0 else b if j == segs else {
+                n: ((1.0 - lam) * a[n].astype(np.float64)
+                    + lam * b[n].astype(np.float64)).astype(a[n].dtype) for n in a}
+            for split in spec.splits:
+                rows.append(((i + lam) / n_int, split, float(loss_fns[split](blend))))
+    return rows
+
+
+def _oracle_case(dtype, support_kind):
+    """(grad_fn, params, support) on a 6-5-3 MLP; the "zero-tensor" support
+    holds an all-zero mask for fc1 and a sparse one for fc2."""
+    model = build_model(mlp_spec((6, 5, 3)), Rng(41))
+    x = Rng(42).normals(12 * 6).reshape(12, 6)
+    params = {n: e.weights.astype(dtype) for n, e in model.store.items()}
+    masks = {"fc1.weight": (Rng(43).uniforms(30) > 0.5).reshape(6, 5).astype(np.float32),
+             "fc2.weight": (Rng(44).uniforms(15) > 0.3).reshape(5, 3).astype(np.float32)}
+    if support_kind == "zero-tensor":
+        masks["fc1.weight"] = np.zeros((6, 5), dtype=np.float32)
+    support = None if support_kind == "unmasked" else masks
+    return model_grad_fn(model, x, np.arange(12) % 3), params, support
+
+
+SUPPORT_KINDS = ("unmasked", "masked", "zero-tensor")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("support_kind", SUPPORT_KINDS)
+def test_hvp_equals_copy_based_reference(dtype, support_kind):
+    fn, params, support = _oracle_case(dtype, support_kind)
+    rng = Rng(45)
+    v = {n: rng.normals(w.size).reshape(w.shape).astype(dtype) for n, w in params.items()}
+    before = {n: (params[n].tobytes(), v[n].tobytes()) for n in params}
+    got, want = hvp(fn, params, v, support), ref_hvp(fn, params, v, support)
+    assert list(got) == list(want)
+    for n in want:
+        assert got[n].dtype == want[n].dtype and got[n].tobytes() == want[n].tobytes(), n
+    assert {n: (params[n].tobytes(), v[n].tobytes()) for n in params} == before  # inputs kept
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("support_kind", SUPPORT_KINDS)
+def test_sharpness_equals_copy_based_reference(dtype, support_kind):
+    fn, params, support = _oracle_case(dtype, support_kind)
+    got = sharpness(fn, params, Rng(46), support=support, power_iters=6)
+    assert got == ref_sharpness(fn, params, Rng(46), support=support, power_iters=6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_interpolate_path_equals_copy_based_reference(dtype):
+    model = build_model(mlp_spec((6, 5, 3)), Rng(47))
+    x = Rng(48).normals(20 * 6).reshape(20, 6).astype(np.float32)
+    y = np.arange(20) % 3
+    points = [{n: (e.weights + np.float32(0.2 * k * (-1) ** k)).astype(dtype)
+               for n, e in model.store.items()} for k in range(3)]
+    loss_fns = {"train": lambda p: model_loss(model, x, y, params=p),
+                "val": lambda p: model_loss(model, x[:7], y[:7], params=p)}
+    spec = PathSpec(segments_per_interval=5)
+    assert interpolate_path(points, loss_fns, spec) == ref_interpolate_path(points, loss_fns, spec)
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hvp_holds_few_model_sized_arrays():
+    """One hvp call allocates at most 5 model-sized f64 arrays beyond what one
+    grad_fn call peaks at."""
+    model = build_model(mlp_spec((64, 256, 10)), Rng(51))
+    x = Rng(52).normals(16 * 64).reshape(16, 64)
+    fn = model_grad_fn(model, x, np.arange(16) % 10)
+    params = {n: e.weights.astype(np.float64) for n, e in model.store.items()}
+    v = {n: Rng(53).normals(w.size).reshape(w.shape) for n, w in params.items()}
+    model_bytes = sum(w.nbytes for w in params.values())
+    grad_peak = _traced_peak(fn, params)
+    assert _traced_peak(hvp, fn, params, v, model.store.masks()) <= grad_peak + 5 * model_bytes

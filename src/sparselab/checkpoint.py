@@ -31,7 +31,7 @@ KIND_MOMENTUM = "momentum"
 
 @dataclass
 class Checkpoint:
-    tensors: dict[tuple[str, str], np.ndarray]  # (kind, name) -> f32 array
+    tensors: dict[tuple[str, str], np.ndarray]  # (kind, name) -> read-only f32 view of the file
     meta: dict
 
     def weights(self) -> dict[str, np.ndarray]:

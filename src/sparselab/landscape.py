@@ -42,8 +42,8 @@ def hvp(grad_fn, params: ParamDict, v: ParamDict, support: ParamDict | None = No
     """Central-difference Hessian-vector product restricted to the support.
 
     grad_fn maps a parameter dict to a gradient dict at the same keys. Both
-    perturbed points are written into one buffer, so grad_fn must not keep
-    the dict it is given.
+    perturbed points are written into one buffer, so grad_fn must neither
+    keep nor return the arrays it is given.
     """
     params, v = _as_f64(params), _as_f64(v)
     buf = {n: np.empty_like(w) for n, w in params.items()}

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -250,8 +251,8 @@ def test_masked_sharpness_interlaces_below_full():
 
 
 # -- the copy-based reference ---------------------------------------------------
-# hvp, sharpness and interpolate_path as they were before they worked in place:
-# every step made new arrays. The package's versions must match them bit for bit.
+# Copy-based hvp, sharpness and interpolate_path, in which every step makes new
+# arrays: the reference that the package's in-place versions match bit for bit.
 
 
 def _ref_project(v, support):
@@ -274,20 +275,23 @@ def ref_hvp(grad_fn, params, v, support=None):
     return _ref_project(out, support)
 
 
+def _ref_dot(a, b):
+    return float(sum((a[n] * b[n]).sum() for n in a))
+
+
 def ref_sharpness(grad_fn, params, rng, support=None, power_iters=20):
     params = {n: np.asarray(w, dtype=np.float64) for n, w in params.items()}
     v = _ref_project({n: rng.normals(w.size).reshape(w.shape) for n, w in params.items()}, support)
-    dot = lambda a, b: float(sum((a[n] * b[n]).sum() for n in a))  # noqa: E731
-    norm = np.sqrt(dot(v, v))
+    norm = math.sqrt(_ref_dot(v, v))
     if norm == 0.0:
         return 0.0
     v = {n: a / norm for n, a in v.items()}
     rayleigh = 0.0
     for _ in range(power_iters):
         hv = ref_hvp(grad_fn, params, v, support)
-        rayleigh = dot(v, hv)
-        norm = np.sqrt(dot(hv, hv))
-        if norm == 0.0 or not np.isfinite(norm):
+        rayleigh = _ref_dot(v, hv)
+        norm = math.sqrt(_ref_dot(hv, hv))
+        if norm == 0.0 or not math.isfinite(norm):
             return 0.0
         v = {n: a / norm for n, a in hv.items()}
     return rayleigh

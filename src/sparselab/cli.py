@@ -105,7 +105,7 @@ def _cmd_sharpness(args) -> int:
     data = _run_dataset(cfg)
     rng = Rng(cfg.seed).stream(STREAM_SHARPNESS)
     idx = rng.permutation(len(data.x_train))[: args.batch_size]
-    x, y = data.x_train[idx].astype(np.float64), data.y_train[idx]  # f64 like the params
+    x, y = data.x_train[idx], data.y_train[idx]
     del data
 
     def grad_fn(params):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import NonFiniteError, ShapeError, SparselabError
 from .rng import Rng
 
 log = logging.getLogger(__name__)
@@ -62,11 +62,12 @@ def hvp(grad_fn, params: ParamDict, v: ParamDict, support: ParamDict | None = No
             b *= eps
             op(params[n], b, out=b)
         grads.append(grad_fn(buf))
+    if any(np.may_share_memory(g, b) for g in grads[0].values() for b in buf.values()):
+        raise SparselabError("hvp: grad_fn returned an array it was given")
     del buf
-    g_plus, g_minus = grads
     out = {}
     for n in params:
-        h = np.subtract(g_plus[n], g_minus[n], dtype=np.float64)
+        h = np.subtract(grads[0][n], grads[1][n], dtype=np.float64)
         h /= 2.0 * eps
         if not np.all(np.isfinite(h)):
             raise NonFiniteError(f"non-finite HVP for {n}")
@@ -143,7 +144,7 @@ def interpolate_path(
                 blend = b
             else:
                 blend = {}
-                for n in names:  # (1 - lam) a + lam b at f64, with one f64 temporary
+                for n in names:  # (1 - lam) a + lam b at f64, with two f64 temporaries
                     x = np.multiply(a[n], 1.0 - lam, dtype=np.float64)
                     x += np.multiply(b[n], lam, dtype=np.float64)
                     blend[n] = x.astype(a[n].dtype)

@@ -247,6 +247,18 @@ TINY_TRANSFORMER = {
 }
 
 
+def test_sharpness_command_on_a_token_model(tmp_path, capsys):
+    """The tiny transformer's batch holds integer token ids, which must reach
+    its embedding lookup as they are."""
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", write_cfg(tmp_path, "cfg.json", TINY_TRANSFORMER),
+                 "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["sharpness", "--checkpoint", os.path.join(out, "ckpt_00001.splb"),
+                 "--batch-size", "16", "--power-iters", "3"]) == 0
+    assert capsys.readouterr().out.startswith("sharpness ")
+
+
 @pytest.mark.parametrize("command, bad", [
     ("config", {"checkpoint_every": 0}),
     ("config", {"dataset": dict(TINY_TRANSFORMER["dataset"], n_train=0)}),
@@ -351,7 +363,7 @@ BAD_CONFIGS = {
     "acdc-ramp-start-without-end": ({"acdc.ramp_start": 1}, 2),
     "acdc-ramp-end-without-start": ({"acdc.ramp_end": 5}, 2),
     "acdc-ramp-ends-where-it-starts": ({"acdc.ramp_start": 5, "acdc.ramp_end": 5}, 2),
-    "acdc-ramp-budget-zeroes-a-layer":({"sparsity.distribution": "uniform", "sparsity.target": 0.5,
+    "acdc-ramp-budget-zeroes-a-layer": ({"sparsity.distribution": "uniform", "sparsity.target": 0.5,
                                          "acdc.ramp_start": 1, "acdc.ramp_end": 5,
                                          "acdc.ramp_start_sparsity": 0.99,
                                          "model.layer_dims": [64, 8, 10]}, 2),

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import mlp_spec, model_loss, num_params
 
-from sparselab.errors import ShapeError
+from sparselab.errors import ShapeError, SparselabError
 from sparselab.landscape import PathSpec, hvp, interpolate_path, sharpness
 from sparselab.models import build_model
 from sparselab.rng import Rng
@@ -33,6 +33,17 @@ def test_hvp_diagonal_quadratic():
     out = hvp(fn, {"w": np.array([0.5, -0.2])}, {"w": np.array([1.0, 0.0])})
     assert out["w"][0] == pytest.approx(3.0, abs=1e-4)
     assert out["w"][1] == pytest.approx(0.0, abs=1e-4)
+
+
+def test_hvp_rejects_a_grad_fn_that_returns_its_input():
+    """Both perturbed points share one buffer, so a grad_fn returning the array
+    it was given (the exact gradient of 0.5 * |w|^2) would see its plus-point
+    gradient overwritten by the minus point and give an HVP of 0."""
+    with pytest.raises(SparselabError, match="returned an array it was given"):
+        hvp(lambda p: p, {"w": np.array([0.5, -0.2])}, {"w": np.array([1.0, 2.0])})
+    copying = hvp(lambda p: {n: w.copy() for n, w in p.items()},
+                  {"w": np.array([0.5, -0.2])}, {"w": np.array([1.0, 2.0])})
+    assert np.allclose(copying["w"], [1.0, 2.0])
 
 
 def model_grad_fn(model, x, y):

@@ -212,83 +212,76 @@ def embedding(table: Var, ids: np.ndarray) -> Var:
     return Var(out, (table,), back)
 
 
-_conv_index_cache: dict = {}
-
-
-def _conv_indices(C: int, hp: int, wp: int, kh: int, kw: int, ho: int, wo: int) -> np.ndarray:
-    """Flat gather indices turning a padded (C, hp, wp) map into im2col rows."""
-    key = (C, hp, wp, kh, kw, ho, wo)
-    idx = _conv_index_cache.get(key)
-    if idx is None:
-        c = np.arange(C)[:, None, None, None, None]
-        ki = np.arange(kh)[None, :, None, None, None]
-        kj = np.arange(kw)[None, None, :, None, None]
-        oi = np.arange(ho)[None, None, None, :, None]
-        oj = np.arange(wo)[None, None, None, None, :]
-        idx = (c * hp * wp + (ki + oi) * wp + (kj + oj)).reshape(C * kh * kw, ho * wo)
-        _conv_index_cache[key] = idx
-    return idx
-
-
 def conv2d(x: Var, w: Var, b: Var, pad: int = 1) -> Var:
-    """Stride-1 2D convolution via im2col; x (B,C,H,W), w (O,C,kH,kW), b (O,)."""
+    """Stride-1 2D convolution via im2col, batch innermost: x (C, H, W, B),
+    w (O, C, kH, kW) and b (O,) give (O, Ho, Wo, B).
+
+    The im2col rows (C*kH*kW, Ho*Wo*B) are kH*kW slice copies of the
+    zero-padded map, each moving contiguous runs of Wo*B floats. The forward,
+    the weight gradient and the column gradient are one GEMM each; col2im adds
+    the column gradient back in kH*kW contiguous slices, in (ki, kj) order.
+    """
     xv, wv = x.value, w.value
-    if xv.ndim != 4 or wv.ndim != 4 or xv.shape[1] != wv.shape[1]:
+    if xv.ndim != 4 or wv.ndim != 4 or xv.shape[0] != wv.shape[1]:
         raise ShapeError(f"conv2d shapes {xv.shape} x {wv.shape}")
-    B, C, H, W = xv.shape
+    C, H, W, B = xv.shape
     O, _, kh, kw = wv.shape
     hp, wp = H + 2 * pad, W + 2 * pad
-    xp = np.zeros((B, C, hp, wp), dtype=xv.dtype)  # np.pad's set-up costs more than this
-    xp[:, :, pad : pad + H, pad : pad + W] = xv
     ho, wo = hp - kh + 1, wp - kw + 1
-    idx = _conv_indices(C, hp, wp, kh, kw, ho, wo)
-    cols = xp.reshape(B, C * hp * wp)[:, idx]  # (B, C*kh*kw, ho*wo)
+    xp = np.zeros((C, hp, wp, B), dtype=xv.dtype)  # np.pad's set-up costs more than this
+    xp[:, pad : pad + H, pad : pad + W] = xv
+    cols = np.empty((C, kh, kw, ho, wo, B), dtype=xv.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            cols[:, ki, kj] = xp[:, ki : ki + ho, kj : kj + wo]
+    cols = cols.reshape(C * kh * kw, ho * wo * B)
     w2 = wv.reshape(O, C * kh * kw)
-    out = np.matmul(w2, cols)  # (B, O, ho*wo)
-    out += b.value[None, :, None]
+    out = np.matmul(w2, cols)
+    out += b.value[:, None]
 
     def back(g):
-        g2 = g.reshape(B, O, ho * wo)
-        # one small GEMM per sample, then a sum over the batch: a single GEMM over
-        # B*ho*wo is large enough for OpenBLAS to split across threads, and on a
-        # shared 2-core machine that hand-off sometimes costs ~2 ms a call
-        gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wv.shape)
-        gb = g.sum(axis=(0, 2, 3))
+        g2 = g.reshape(O, ho * wo * B)
+        gw = np.matmul(g2, cols.T).reshape(wv.shape)
+        gb = g2.sum(axis=1)
         if x.const:
             return None, gw, gb
-        # col2im in a (hp, wp, B*C) buffer, so each += runs over a contiguous
-        # innermost axis; every element still sums its terms in (ki, kj) order
-        gcols = np.matmul(w2.T, g2).reshape(B * C, kh, kw, ho, wo).transpose(1, 2, 3, 4, 0)
-        gxp = np.zeros((hp, wp, B * C), dtype=xp.dtype)
+        gcols = np.matmul(w2.T, g2).reshape(C, kh, kw, ho, wo, B)
+        gxp = np.zeros_like(xp)
         for ki in range(kh):
             for kj in range(kw):
-                gxp[ki : ki + ho, kj : kj + wo] += gcols[ki, kj]
-        gx = gxp[pad : pad + H, pad : pad + W].transpose(2, 0, 1).reshape(B, C, H, W)
-        return gx, gw, gb
+                gxp[:, ki : ki + ho, kj : kj + wo] += gcols[:, ki, kj]
+        return gxp[:, pad : pad + H, pad : pad + W], gw, gb
 
-    return Var(out.reshape(B, O, ho, wo), (x, w, b), back)
+    return Var(out.reshape(O, ho, wo, B), (x, w, b), back)
 
 
 def avg_pool2d(x: Var) -> Var:
-    """2x2 average pooling with stride 2.
+    """2x2 average pooling with stride 2 over (C, H, W, B) maps.
 
     The four taps are summed as (v00 + v01) + (v10 + v11), the order in which
     `mean` over the two window axes sums them, so outputs match it bit for bit.
     """
-    B, C, H, W = x.value.shape
+    C, H, W, B = x.value.shape
     if H % 2 or W % 2:
         raise ShapeError(f"avg_pool2d: {H}x{W} not divisible by 2")
-    v = x.value.reshape(B, C, H // 2, 2, W // 2, 2)
-    rows = v[..., 0] + v[..., 1]  # (v00 + v01) and (v10 + v11)
-    out = rows[:, :, :, 0] + rows[:, :, :, 1]
+    v = x.value.reshape(C, H // 2, 2, W // 2, 2, B)
+    rows = v[:, :, :, :, 0] + v[:, :, :, :, 1]  # (v00 + v01) and (v10 + v11)
+    out = rows[:, :, 0] + rows[:, :, 1]
     out /= 4
 
     def back(g):
         # repeating the quarter-size g / 4 is faster here than one broadcast copy
-        gx = np.repeat(np.repeat(g / 4, 2, axis=3), 2, axis=2)
+        gx = np.repeat(np.repeat(g / 4, 2, axis=2), 2, axis=1)
         return (gx.astype(x.value.dtype, copy=False),)
 
     return Var(out, (x,), back)
+
+
+def batch_rows(a: Var) -> Var:
+    """Batch-innermost (..., B) maps as (B, features) rows, features in
+    row-major order: a transposed view, no copy."""
+    shape = a.value.shape
+    return Var(a.value.reshape(-1, shape[-1]).T, (a,), lambda g: (g.T.reshape(shape),))
 
 
 def dropout(x: Var, p: float, keep: np.ndarray) -> Var:

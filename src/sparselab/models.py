@@ -292,19 +292,18 @@ def _forward_mlp(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, keep) -> Var:
 
 
 def _forward_cnn(s: ModelSpec, pv: dict[str, Var], x: np.ndarray, keep) -> Var:
-    H, W = s.image_hw
+    """(B, C*H*W) rows or (B, C, H, W) images; the maps run batch innermost,
+    as (C, H, W, B), and the head reads (c, h, w)-ordered feature rows."""
+    C, (H, W) = s.in_channels, s.image_hw
     x = np.ascontiguousarray(x, dtype=pv["conv1.weight"].value.dtype)
-    if x.ndim == 2:
-        if x.shape[1] != s.in_channels * H * W:
-            raise ShapeError(f"cnn input {x.shape}, expected (batch, {s.in_channels * H * W})")
-        x = x.reshape(-1, s.in_channels, H, W)
-    h = Var(x, const=True)
+    if x.shape[1:] not in ((C * H * W,), (C, H, W)):
+        raise ShapeError(f"cnn input {x.shape}, expected (B, {C * H * W}) or (B, {C}, {H}, {W})")
+    h = Var(x.reshape(len(x), C * H * W).T.reshape(C, H, W, len(x)), const=True)
     h = ad.relu(ad.conv2d(h, pv["conv1.weight"], pv["conv1.bias"], pad=1))
     h = ad.avg_pool2d(h)
     h = ad.relu(ad.conv2d(h, pv["conv2.weight"], pv["conv2.bias"], pad=1))
     h = ad.avg_pool2d(h)
-    h = ad.reshape(h, (h.shape[0], -1))
-    return ad.linear(h, pv["head.weight"], pv["head.bias"])
+    return ad.linear(ad.batch_rows(h), pv["head.weight"], pv["head.bias"])
 
 
 def _forward_transformer(s: ModelSpec, pv: dict[str, Var], ids: np.ndarray, keep) -> Var:

@@ -137,6 +137,38 @@ def clone_store(store) -> ParamStore:
     return out
 
 
+def micro_cnn_reference_logits(spec, weights, x):
+    """The micro-CNN's logits in the (B, C, H, W) layout: per-sample im2col
+    GEMMs over gathered rows, pooling as (v00 + v01) + (v10 + v11), and the
+    flattened (c, h, w) features into the head. Numpy only; the package ran
+    this algorithm before its maps went batch innermost."""
+    H, W = spec.image_hw
+    h = np.ascontiguousarray(x, dtype=weights["conv1.weight"].dtype)
+    h = h.reshape(-1, spec.in_channels, H, W)
+    for layer in ("conv1", "conv2"):
+        wv, bv = weights[f"{layer}.weight"], weights[f"{layer}.bias"]
+        B, C, H, W = h.shape
+        O, _, kh, kw = wv.shape
+        hp, wp = H + 2, W + 2
+        xp = np.zeros((B, C, hp, wp), dtype=h.dtype)
+        xp[:, :, 1 : 1 + H, 1 : 1 + W] = h
+        ho, wo = hp - kh + 1, wp - kw + 1
+        c, ki, kj, oi, oj = np.ix_(np.arange(C), np.arange(kh), np.arange(kw),
+                                   np.arange(ho), np.arange(wo))
+        idx = (c * hp * wp + (ki + oi) * wp + (kj + oj)).reshape(C * kh * kw, ho * wo)
+        conv = np.matmul(wv.reshape(O, -1), xp.reshape(B, C * hp * wp)[:, idx])
+        conv += bv[None, :, None]
+        conv = np.fmax(conv, 0).reshape(B, O, ho, wo)
+        conv += 0
+        v = conv.reshape(B, O, ho // 2, 2, wo // 2, 2)
+        rows = v[..., 0] + v[..., 1]
+        h = rows[:, :, :, 0] + rows[:, :, :, 1]
+        h /= 4
+    out = np.matmul(h.reshape(len(h), -1), weights["head.weight"])
+    out += weights["head.bias"]
+    return out
+
+
 def model_loss(model, x, labels, *, eps=0.0, params=None) -> float:
     """Mean cross-entropy (smoothed by eps) of the model's logits; the
     package records raw CE through `runner.dataset_loss`, so this lives

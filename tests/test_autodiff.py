@@ -158,18 +158,19 @@ def test_three_consumers_sum_in_forward_order():
     assert a.grad.dtype == np.float32 and a.grad.tobytes() == np.float32([1.0]).tobytes()
 
 
+# x (C, H, W, B), w (O, C, kH, kW), pad
 CONV_SHAPES = [
-    ((2, 2, 5, 5), (3, 2, 3, 3), 1),
-    ((2, 2, 5, 5), (3, 2, 3, 3), 0),
-    ((2, 2, 4, 6), (3, 2, 3, 3), 1),
-    ((2, 1, 5, 4), (2, 1, 3, 3), 1),
-    ((2, 3, 4, 4), (1, 3, 3, 3), 1),
-    ((2, 2, 3, 4), (3, 2, 1, 1), 0),
-    ((1, 2, 6, 5), (2, 2, 5, 5), 2),
+    ((2, 5, 5, 2), (3, 2, 3, 3), 1),
+    ((2, 5, 5, 2), (3, 2, 3, 3), 0),
+    ((2, 4, 6, 2), (3, 2, 3, 3), 1),
+    ((1, 5, 4, 2), (2, 1, 3, 3), 1),
+    ((3, 4, 4, 2), (1, 3, 3, 3), 1),
+    ((2, 3, 4, 2), (3, 2, 1, 1), 0),
+    ((2, 6, 5, 1), (2, 2, 5, 5), 2),
 ]
 CONV_IDS = ["pad1", "pad0", "h-ne-w", "c1", "o1", "k1x1", "k5x5"]
 # the micro-CNN's two layers at batch 32 on 8x8 inputs
-MICRO_CNN_CONVS = [((32, 1, 8, 8), (16, 1, 3, 3), 1), ((32, 16, 4, 4), (32, 16, 3, 3), 1)]
+MICRO_CNN_CONVS = [((1, 8, 8, 32), (16, 1, 3, 3), 1), ((16, 4, 4, 32), (32, 16, 3, 3), 1)]
 
 
 @pytest.mark.parametrize("x_shape,w_shape,pad", CONV_SHAPES, ids=CONV_IDS)
@@ -179,12 +180,13 @@ def test_conv2d_grads(x_shape, w_shape, pad):
 
 
 def im2col_reference(xv, kh, kw, pad):
-    """The np.pad-padded map and its (B, C*kh*kw, ho*wo) im2col rows, from slices."""
-    B, C = xv.shape[:2]
-    xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
-    taps = [xp[:, :, ki : ki + ho, kj : kj + wo] for ki in range(kh) for kj in range(kw)]
-    return xp, np.stack(taps, axis=2).reshape(B, C * kh * kw, ho * wo), ho, wo
+    """The np.pad-padded (C, hp, wp, B) map and its batch-innermost
+    (C*kh*kw, ho*wo*B) im2col rows, from slices."""
+    C, B = xv.shape[0], xv.shape[3]
+    xp = np.pad(xv, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    ho, wo = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
+    taps = [xp[:, ki : ki + ho, kj : kj + wo] for ki in range(kh) for kj in range(kw)]
+    return xp, np.stack(taps, axis=1).reshape(C * kh * kw, ho * wo * B), ho, wo
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -198,10 +200,7 @@ def test_conv2d_forward_matches_reference_bit_for_bit(x_shape, w_shape, pad, dty
                for s in (x_shape, w_shape, (w_shape[0],)))
     O, _, kh, kw = w_shape
     _, cols, ho, wo = im2col_reference(x, kh, kw, pad)
-    # batch innermost, as conv2d's gather lays the rows out: for one output
-    # channel, BLAS sums the product in another order for another layout
-    cols = np.ascontiguousarray(cols.transpose(1, 2, 0)).transpose(2, 0, 1)
-    want = (np.matmul(w.reshape(O, -1), cols) + b[None, :, None]).reshape(-1, O, ho, wo)
+    want = (np.matmul(w.reshape(O, -1), cols) + b[:, None]).reshape(O, ho, wo, x_shape[3])
     got = ad.conv2d(Var(x), Var(w), Var(b), pad=pad).value
     assert np.all(b != 0)
     assert got.dtype == dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -209,29 +208,32 @@ def test_conv2d_forward_matches_reference_bit_for_bit(x_shape, w_shape, pad, dty
 
 def conv2d_reference_grads(xv, wv, g, pad):
     """Input and weight gradients of a stride-1 conv by im2col from slices:
-    an einsum weight gradient and a col2im that scatters into the padded
-    (B, C, hp, wp) map, adding the (ki, kj) taps in row-major order."""
-    B, C, H, W = xv.shape
+    an einsum weight gradient and a col2im that scatters into a padded
+    (B, C, hp, wp) map, the other layout, adding the (ki, kj) taps in
+    row-major order."""
+    C, H, W, B = xv.shape
     O, _, kh, kw = wv.shape
     xp, cols, ho, wo = im2col_reference(xv, kh, kw, pad)
-    g2 = g.reshape(B, O, ho * wo)
-    gw = np.einsum("bol,bkl->ok", g2, cols).reshape(wv.shape)
-    gcols = np.matmul(wv.reshape(O, -1).T, g2).reshape(B, C, kh, kw, ho, wo)
-    gxp = np.zeros_like(xp)
+    g2 = g.reshape(O, ho * wo * B)
+    gw = np.einsum("ol,kl->ok", g2, cols).reshape(wv.shape)
+    gcols = np.matmul(wv.reshape(O, -1).T, g2).reshape(C, kh, kw, ho, wo, B)
+    gcols = gcols.transpose(5, 0, 1, 2, 3, 4)
+    gxp = np.zeros((B, C) + xp.shape[1:3], dtype=xp.dtype)
     for ki in range(kh):
         for kj in range(kw):
             gxp[:, :, ki : ki + ho, kj : kj + wo] += gcols[:, :, ki, kj]
-    return gxp[:, :, pad : pad + H, pad : pad + W], gw, np.abs(g2), np.abs(cols)
+    gx = gxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 2, 3, 0)
+    return gx, gw, np.abs(g2), np.abs(cols)
 
 
 @pytest.mark.parametrize("x_shape,w_shape,pad", MICRO_CNN_CONVS + [
-    ((3, 2, 5, 7), (4, 2, 5, 3), 0),
+    ((2, 5, 7, 3), (4, 2, 5, 3), 0),
 ])
 def test_conv2d_backward_matches_reference_in_f32(x_shape, w_shape, pad):
     """The input gradient sums the same f32 terms in the same order as the
-    reference, so it is bit-identical. The weight gradient may sum in another
-    order than the einsum; each entry sums n = B*ho*wo products, so both lie
-    within n * eps * sum|terms| of the exact value."""
+    reference, so it is bit-identical. The weight and bias gradients may sum
+    in another order than the reference; each entry sums n = ho*wo*B terms,
+    so both lie within n * eps * sum|terms| of the exact value."""
     rng = Rng(11)
     x, w = (rng.normals(int(np.prod(s))).reshape(s).astype(np.float32) for s in (x_shape, w_shape))
     b = np.zeros(w_shape[0], dtype=np.float32)
@@ -239,27 +241,30 @@ def test_conv2d_backward_matches_reference_in_f32(x_shape, w_shape, pad):
     g = rng.normals(out.value.size).reshape(out.shape).astype(np.float32)
     gx, gw, gb = out._backprop(g)
     ref_gx, ref_gw, abs_g2, abs_cols = conv2d_reference_grads(x, w, g, pad)
-    assert gx.dtype == gw.dtype == np.float32
-    assert gx.shape == x.shape and gx.tobytes() == ref_gx.tobytes()
-    n = abs_g2.shape[0] * abs_g2.shape[2]
-    bound = 2 * n * np.finfo(np.float32).eps * np.einsum("bol,bkl->ok", abs_g2, abs_cols)
+    assert gx.dtype == gw.dtype == gb.dtype == np.float32
+    assert gx.shape == x.shape and gx.tobytes() == np.ascontiguousarray(ref_gx).tobytes()
+    n = abs_g2.shape[1]
+    eps = np.finfo(np.float32).eps
+    bound = 2 * n * eps * np.einsum("ol,kl->ok", abs_g2, abs_cols)
     assert np.all(np.abs(gw - ref_gw) <= bound.reshape(w.shape))
-    assert np.array_equal(gb, g.sum(axis=(0, 2, 3)))
+    assert np.all(np.abs(gb - g.sum(axis=(1, 2, 3))) <= 2 * n * eps * abs_g2.sum(axis=1))
 
 
 def test_conv2d_shape_error():
     with pytest.raises(ShapeError):
-        ad.conv2d(Var(np.zeros((1, 2, 4, 4))), Var(np.zeros((3, 5, 3, 3))), Var(np.zeros(3)))
+        ad.conv2d(Var(np.zeros((2, 4, 4, 1))), Var(np.zeros((3, 5, 3, 3))), Var(np.zeros(3)))
 
 
 def test_avg_pool():
-    check_op(lambda x: ad.avg_pool2d(x), [(2, 3, 4, 4)])
+    check_op(lambda x: ad.avg_pool2d(x), [(3, 4, 4, 2)])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_avg_pool_matches_mean_bit_for_bit(dtype):
     """The pool's explicit sum of four taps equals `mean` over the window
-    axes bit for bit, at every magnitude and on every special value."""
+    axes of the (B, C, H, W) map bit for bit, at every magnitude and on every
+    special value. (Over the window axes of the batch-innermost map `mean`
+    sums the taps one after another, in another order.)"""
     rng = Rng(12)
     shape = (4, 3, 8, 6)
     n = int(np.prod(shape))
@@ -271,14 +276,22 @@ def test_avg_pool_matches_mean_bit_for_bit(dtype):
     x[picks] = specials[np.arange(picks.size) % specials.size]
     x = x.reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = x.reshape(4, 3, 4, 2, 3, 2).mean(axis=(3, 5))
-        got = ad.avg_pool2d(Var(x)).value
-    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        want = x.reshape(4, 3, 4, 2, 3, 2).mean(axis=(3, 5)).transpose(1, 2, 3, 0)
+        got = ad.avg_pool2d(Var(np.ascontiguousarray(x.transpose(1, 2, 3, 0)))).value
+    assert got.dtype == dtype and got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_avg_pool_shape_error():
     with pytest.raises(ShapeError):
-        ad.avg_pool2d(Var(np.zeros((1, 1, 5, 4))))
+        ad.avg_pool2d(Var(np.zeros((1, 5, 4, 1))))
+
+
+def test_batch_rows():
+    check_op(lambda x: matmul(ad.batch_rows(x), Var(np.arange(12.0).reshape(6, 2))), [(2, 1, 3, 4)])
+    v = np.arange(24.0).reshape(2, 3, 4)
+    rows = ad.batch_rows(Var(v)).value
+    assert np.shares_memory(rows, v)
+    assert rows.tolist() == [v[..., i].reshape(-1).tolist() for i in range(4)]
 
 
 def test_cross_entropy_mean_matches_numeric():
@@ -352,7 +365,7 @@ def test_no_tape_vars_keep_no_parents():
 def test_no_tape_restored_after_exception():
     with pytest.raises(ShapeError):
         with ad.no_tape():
-            ad.conv2d(Var(np.ones((1, 2, 4, 4))), Var(np.ones((1, 3, 3, 3))), Var(np.ones(1)))
+            ad.conv2d(Var(np.ones((2, 4, 4, 1))), Var(np.ones((1, 3, 3, 3))), Var(np.ones(1)))
     a = Var(np.array([1.0, -2.0]))
     out = ad.relu(a)
     backward(out)
@@ -360,7 +373,7 @@ def test_no_tape_restored_after_exception():
 
 
 def _conv_head(x, w, b, m):
-    return matmul(ad.reshape(ad.conv2d(x, w, b), (2, -1)), m)
+    return matmul(ad.batch_rows(ad.conv2d(x, w, b)), m)
 
 
 def _two_layers(x, w, b, m):
@@ -368,7 +381,7 @@ def _two_layers(x, w, b, m):
 
 
 @pytest.mark.parametrize("build,shapes", [
-    (_conv_head, [(2, 1, 4, 4), (3, 1, 3, 3), (3,), (48, 2)]),
+    (_conv_head, [(1, 4, 4, 2), (3, 1, 3, 3), (3,), (48, 2)]),
     (_two_layers, [(2, 5), (5, 3), (3,), (3, 2)]),
 ])
 def test_const_leaf_gets_no_gradient(build, shapes):

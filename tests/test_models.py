@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    fd_gradients, matmul, max_rel_error, micro_cnn_spec, mlp_spec, mul, num_params, scale,
-    tiny_transformer_spec,
+    fd_gradients, matmul, max_rel_error, micro_cnn_reference_logits, micro_cnn_spec, mlp_spec, mul,
+    num_params, scale, tiny_transformer_spec,
 )
 
 from sparselab import autodiff as ad
@@ -63,6 +63,34 @@ def test_forward_shape_errors():
     model = build_model(mlp_spec((6, 4)), Rng(0))
     with pytest.raises(ShapeError):
         model.forward(np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("batch", [32, 128])
+def test_micro_cnn_forward_matches_reference_layout_bit_for_bit(batch):
+    """Batch-innermost maps give the logits of the (B, C, H, W) algorithm
+    byte for byte, at the training batch and at `runner.EVAL_CHUNK` rows."""
+    spec = micro_cnn_spec(1, (8, 8), (16, 32), 10)
+    model = build_model(spec, Rng(40))
+    x = Rng(41).normals(batch * 64).reshape(batch, 64).astype(np.float32)
+    weights = {n: e.weights for n, e in model.store.items()}
+    want = micro_cnn_reference_logits(spec, weights, x)
+    assert model.forward(x).tobytes() == want.tobytes()
+    images = model.forward(x.reshape(batch, 1, 8, 8))
+    assert images.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x", [
+    np.zeros((2, 2 * 16 + 1)), np.zeros((2, 16)), np.zeros((2, 1, 4, 4)), np.zeros((2, 2, 4, 2)),
+    np.zeros(2 * 16 * 2), np.zeros((2, 2, 4, 4, 1)), np.zeros((2, 32, 1)),
+], ids=["width+1", "width-c", "channels", "h-ne-w", "1d", "5d", "3d"])
+def test_micro_cnn_input_shape_errors(x):
+    """Only (B, C*H*W) rows and (B, C, H, W) images are inputs, with and
+    without a tape."""
+    model = build_model(micro_cnn_spec(2, (4, 4), (3, 3), 5), Rng(0))
+    with pytest.raises(ShapeError):
+        model.forward(x)
+    with pytest.raises(ShapeError):
+        model.loss_and_grad(x, np.zeros(2, dtype=np.int64))
 
 
 def test_forward_nonfinite_detection():

@@ -150,11 +150,6 @@ def relu(a: Var) -> Var:
     return Var(out, (a,), lambda g: (g * (out > 0),))
 
 
-def reshape(a: Var, shape: tuple) -> Var:
-    orig = a.value.shape
-    return Var(a.value.reshape(shape), (a,), lambda g: (g.reshape(orig),))
-
-
 def mean_axis(a: Var, axis: int) -> Var:
     n = a.value.shape[axis]
     out = a.value.mean(axis=axis)
@@ -259,7 +254,8 @@ def avg_pool2d(x: Var) -> Var:
     """2x2 average pooling with stride 2 over (C, H, W, B) maps.
 
     The four taps are summed as (v00 + v01) + (v10 + v11), the order in which
-    `mean` over the two window axes sums them, so outputs match it bit for bit.
+    `mean` over the window axes of a (B, C, H, W) map sums them, so outputs
+    match it bit for bit.
     """
     C, H, W, B = x.value.shape
     if H % 2 or W % 2:

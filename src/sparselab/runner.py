@@ -47,7 +47,7 @@ from .sparsify import (
     shrink_mask,
 )
 
-# rows per evaluation forward: of 64, 128 and 256, the fastest in timed micro-CNN training runs
+# rows per evaluation forward: at 64, 128 or 256, timed micro-CNN training runs differ by under 4%
 EVAL_CHUNK = 128
 
 

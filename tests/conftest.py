@@ -74,8 +74,9 @@ def mul(a, b):
     return Var(a.value * b.value, (a, b), back)
 
 
-# The composed ops the models used before `autodiff.linear` and
-# `autodiff.attention`: the tests check those fused nodes against them.
+# The composed ops the models used before `autodiff.linear`,
+# `autodiff.attention` and `autodiff.batch_rows`: the tests check those
+# fused nodes against them.
 
 
 def scale(a: Var, c: float) -> Var:
@@ -93,6 +94,11 @@ def matmul(a: Var, b: Var) -> Var:
         return ad._unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.value.shape), gb
 
     return Var(out, (a, b), back)
+
+
+def reshape(a: Var, shape: tuple) -> Var:
+    orig = a.value.shape
+    return Var(a.value.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
 def swap_last2(a: Var) -> Var:

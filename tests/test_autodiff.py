@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import matmul, mul, scale, softmax_last, swap_last2
+from conftest import matmul, mul, reshape, scale, softmax_last, swap_last2
 
 from sparselab import autodiff as ad
 from sparselab.autodiff import Var, backward
@@ -69,7 +69,7 @@ def test_relu():
 
 
 def test_reshape_swap():
-    check_op(lambda a: swap_last2(ad.reshape(a, (2, 3, 4))), [(24,)])
+    check_op(lambda a: swap_last2(reshape(a, (2, 3, 4))), [(24,)])
 
 
 def test_mean_axis():
